@@ -538,7 +538,8 @@ def run_detector_family_smoke(
     the serving fabric:
 
     * **Streaming == offline** — driving one test trace sample-by-sample
-      through :class:`~repro.detectors.StreamingDetector` produces verdicts
+      through the stateless :class:`~repro.detectors.StreamingDetector`
+      window path (neither brain carries per-stream state) produces verdicts
       bitwise identical to the offline ``predict`` on the same sliding
       windows.  HMM scores are bitwise too (broadcast-reduce arithmetic is
       batch-shape independent); LSTM-VAE scores are held to
@@ -589,7 +590,7 @@ def run_detector_family_smoke(
         adapter = StreamingDetector(
             detector, unit="window", history=history, include_scores=True
         )
-        assert adapter.incremental, f"{name}: incremental streaming not auto-enabled"
+        assert not adapter.incremental, f"{name}: streaming must stay stateless"
         stream_flags, stream_scores = [], []
         for sample in features:
             verdict = adapter.update(sample)

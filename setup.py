@@ -1,10 +1,22 @@
-"""Setuptools entry point.
+"""Setuptools entry point for the ``repro`` package (src layout).
 
-The pyproject.toml metadata is authoritative; this file exists so that legacy
-``python setup.py develop`` installs work in offline environments that lack
-the ``wheel`` package required by PEP 660 editable installs.
+Installs ``src/repro`` and its only runtime dependency, numpy::
+
+    pip install .
+    python setup.py develop   # editable install without the ``wheel`` package
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description=(
+        "Risk-profiling-based defenses against evasion attacks on CGM "
+        "glucose forecasters"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.9",
+    install_requires=["numpy"],
+)

@@ -13,19 +13,19 @@ by ``tests/test_serving.py`` and ``tests/test_detectors_vae_hmm.py``
 (per-detector score tolerances: ``docs/detectors.md``).
 
 Detectors exposing the incremental API (``make_inversion_state`` +
-``scores_incremental``) are auto-upgraded to O(1)-per-tick scoring with one
-carried state object per stream — MAD-GAN's warm-started latent, the
-LSTM-VAE's projection ring, the HMM's partial-alpha band.
+``scores_incremental`` — MAD-GAN) are auto-upgraded to warm-started scoring
+with one carried :class:`~repro.detectors.madgan.InversionState` per stream.
+Every other detector — the LSTM-VAE and the HMM included — re-scores the
+full window each tick, which the scheduler batches per lane.
 
 The adapter holds one ring per stream; the underlying detector object may be
 shared by many adapters, which is what lets the serving scheduler coalesce
 the per-tick views of every session into one batched ``predict`` call.
 
-Adapter state (ring, warming counter, carried incremental state — including
-MAD-GAN's ``InversionState`` RNG position) pickles exactly, so scheduler
-snapshots (``repro.serving.recovery``) resume streaming verdicts bitwise;
-the shared-detector aliasing above survives restore because the whole
-scheduler state is one pickle graph.
+Adapter state (ring, warming counter, MAD-GAN's carried ``InversionState``)
+pickles exactly, so scheduler snapshots (``repro.serving.recovery``) resume
+streaming verdicts bitwise; the shared-detector aliasing above survives
+restore because the whole scheduler state is one pickle graph.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ class StreamingDetector:
         full ``(1, history, F)`` windows (MAD-GAN).
     history:
         Ring length for ``unit="window"`` (ignored for sample detectors).
+        Must equal the detector's ``sequence_length`` when it exposes one:
+        a mismatched window would fail on every warm tick.
     include_scores:
         Also report the continuous anomaly score each tick.  For plain
         detectors this is one extra :meth:`AnomalyDetector.scores` call per
@@ -99,9 +101,9 @@ class StreamingDetector:
         incremental scoring API (``make_inversion_state`` /
         ``scores_incremental`` / ``predict_incremental``, e.g. warm-started
         MAD-GAN inversion).  ``None`` (the default) auto-enables it for
-        ``unit="window"`` detectors that expose the API; ``False`` forces
-        the stateless cold path; ``True`` raises if the detector cannot do
-        it.  The adapter owns exactly one state — one adapter per stream.
+        ``unit="window"`` detectors that expose the API (MAD-GAN); ``False``
+        forces the stateless cold path; ``True`` raises if the detector
+        cannot do it.  The adapter owns exactly one state — one adapter per stream.
     divergence_watchdog:
         Mark verdicts ``degraded`` once the stream's incremental inversion
         has fallen back to a cold re-anchor this many *consecutive* ticks
@@ -126,6 +128,12 @@ class StreamingDetector:
             raise ValueError(f"unit must be one of {STREAM_UNITS}, got {unit!r}")
         if history <= 0:
             raise ValueError("history must be positive")
+        sequence_length = getattr(detector, "sequence_length", None)
+        if unit == "window" and sequence_length is not None and sequence_length != history:
+            raise ValueError(
+                f"history={history} does not match the detector's "
+                f"sequence_length={sequence_length}"
+            )
         supports_incremental = (
             unit == "window"
             and hasattr(detector, "scores_incremental")
@@ -188,14 +196,13 @@ class StreamingDetector:
             self._inversion_state.reset()
         self._inversion_mark = (0, 0)
 
-    def drain_inversion_counts(self) -> Optional[Tuple[int, int, int]]:
+    def drain_inversion_counts(self) -> Optional[Tuple[int, int]]:
         """Inversion-activity deltas since the previous drain, or None.
 
-        Returns ``(scored, fallbacks, deferred)`` for incremental adapters:
-        windows scored through the stream's carry-over state, how many of
-        them fell back to a cold re-anchor (warm ticks are the difference),
-        and whether the stream is currently awaiting a deferred cold
-        re-anchor (0/1).  All three are deterministic event counts read off
+        Returns ``(scored, fallbacks)`` for incremental adapters: windows
+        scored through the stream's carry-over state and how many of them
+        fell back to a cold re-anchor (warm ticks are the difference).  Both
+        are deterministic event counts read off
         :class:`~repro.detectors.madgan.InversionState`; the scheduler feeds
         them into ``detector.inversion_*`` counters after each query.
         Stateless adapters return None.
@@ -205,11 +212,7 @@ class StreamingDetector:
             return None
         marked_ticks, marked_fallbacks = self._inversion_mark
         self._inversion_mark = (state.ticks, state.fallbacks)
-        return (
-            state.ticks - marked_ticks,
-            state.fallbacks - marked_fallbacks,
-            1 if state.pending_cold else 0,
-        )
+        return state.ticks - marked_ticks, state.fallbacks - marked_fallbacks
 
     # ------------------------------------------------------------------ ticking
     def prepare(self, sample: np.ndarray):

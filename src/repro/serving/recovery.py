@@ -11,8 +11,8 @@ Three layers:
     :class:`SchedulerSnapshot` and rebuild an equivalent scheduler from it.
     The snapshot captures the *complete* deterministic state — per-session
     sample rings, lane slot allocators and recurrent stream states
-    (``BiLSTMStreamState``), streaming-detector adapter state (LSTM-VAE
-    projection rings, HMM alpha bands, MAD-GAN ``InversionState``),
+    (``BiLSTMStreamState``), streaming-detector adapter state (window
+    rings, MAD-GAN ``InversionState``),
     ``SessionHealth`` machines with their backoff depth, and every
     component's ``RandomState`` position (numpy ``Generator`` objects pickle
     their exact bit-stream position).  Model weights are content-addressed:
@@ -66,7 +66,9 @@ from repro.serving.scheduler import StreamScheduler
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Current snapshot schema version; bumped on incompatible layout changes.
-SNAPSHOT_VERSION = 1
+#: Version 2 dropped the LSTM-VAE/HMM stream-state classes and MAD-GAN's
+#: deferred-fallback field, which version-1 pickles may reference.
+SNAPSHOT_VERSION = 2
 
 #: Magic prefix of a checkpoint file (8 bytes, includes the format revision).
 SNAPSHOT_MAGIC = b"RPROSNP1"

@@ -138,8 +138,7 @@ class StreamScheduler:
         scheduler runs each group's warm phase separately but merges every
         group's owed cold inversions into ONE batched
         :meth:`~repro.detectors.madgan.MADGANDetector.invert_cold` call per
-        detector — closing the ROADMAP gap where deferred cold fallbacks
-        coalesced per-detector-group only.  Verdicts are identical to the
+        detector instead of one per group.  Verdicts are identical to the
         uncoalesced path (the cold-start latents are drawn in the warm phase
         so the detector RNG stream never shifts; pinned by
         ``tests/test_detectors_vae_hmm.py``); only the inversion batch count
@@ -475,9 +474,9 @@ class StreamScheduler:
 
         All model work is one ``step_stream`` call per lane; all detector
         work is one ``predict`` call per distinct underlying detector object
-        *per lane* (incremental adapters instead share one
+        *per lane* (MAD-GAN's incremental adapters instead share one
         ``predict_incremental`` call, which also advances their per-stream
-        states exactly once).  Batches never cross lanes: BLAS rounding is
+        inversion states exactly once).  Batches never cross lanes: BLAS rounding is
         batch-shape dependent, so lane-scoped batching keeps every session's
         outputs bitwise independent of which other lanes share its
         detectors — the invariant the sharded fabric's parity gate pins.  A
@@ -747,14 +746,12 @@ class StreamScheduler:
         counts = adapter.drain_inversion_counts()
         if counts is None:
             return
-        scored, fallbacks, deferred = counts
+        scored, fallbacks = counts
         registry = self.obs.registry
         if scored:
             registry.inc("detector.inversion_ticks_total", scored, detector=name)
         if fallbacks:
             registry.inc("detector.inversion_fallbacks_total", fallbacks, detector=name)
-        if deferred:
-            registry.inc("detector.inversion_deferred_total", deferred, detector=name)
 
     def _finish_tick_obs(self, tick_started: float, events_mark: int, results) -> None:
         """Emit the tick's trailing ``health`` and ``merge`` spans."""

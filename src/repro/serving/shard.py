@@ -53,10 +53,7 @@ bitwise identical to a run that never crashed** — survivors untouched,
 victims resumed exactly (``check_parity.run_recovery_smoke`` and the
 ``chaos_replay.py`` kill-mix scenarios gate it).  A ``max_restarts``
 circuit breaker bounds the respawn loop; a shard that exhausts it falls
-back to the terminal dropped-ticks behavior above.  With
-``snapshot_interval=None`` the supervisor still respawns but rehydrates by
-re-opening every session fresh (PR 6's quarantine/re-warm semantics: warm
-stream state is lost, verdicts restart from the warmup phase).  Without
+back to the terminal dropped-ticks behavior above.  Without
 ``supervision`` the fabric behaves exactly as before.  See
 ``docs/recovery.md``.
 
@@ -137,11 +134,11 @@ class SupervisorConfig:
     ----------
     snapshot_interval:
         Workers piggyback a deterministic shard snapshot on every N-th tick
-        reply; the parent journals commands between snapshots, so a crashed
-        worker resumes **bitwise exactly** (snapshot + journal replay +
-        re-sent in-flight command).  ``None`` disables snapshots and
-        journaling: respawned workers are rehydrated by re-opening every
-        session fresh (PR 6 re-warm semantics — warm state lost).
+        reply (an int >= 1); the parent journals commands between
+        snapshots, so a crashed worker resumes **bitwise exactly**
+        (snapshot + journal replay + re-sent in-flight command).  Before
+        the first snapshot the journal reaches back to worker birth, which
+        is just as exact.
     max_restarts:
         Circuit breaker: total respawns allowed per shard before its death
         becomes terminal (sessions degrade to dropped ticks, the
@@ -157,7 +154,7 @@ class SupervisorConfig:
         death is then detected by pipe EOF only.
     """
 
-    snapshot_interval: Optional[int] = 32
+    snapshot_interval: int = 32
     max_restarts: int = 3
     restart_backoff: float = 0.05
     backoff_factor: float = 2.0
@@ -165,8 +162,8 @@ class SupervisorConfig:
     request_timeout: Optional[float] = None
 
     def __post_init__(self):
-        if self.snapshot_interval is not None and self.snapshot_interval < 1:
-            raise ValueError("snapshot_interval must be >= 1 or None")
+        if self.snapshot_interval is None or self.snapshot_interval < 1:
+            raise ValueError("snapshot_interval must be an int >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if self.restart_backoff < 0 or self.max_backoff < 0:
@@ -473,7 +470,6 @@ class _Shard:
         "snapshot",
         "journal",
         "restarts",
-        "open_specs",
     )
 
     def __init__(self, index: int, process, conn):
@@ -495,8 +491,6 @@ class _Shard:
         self.journal: List[tuple] = []
         # Respawns consumed against the max_restarts circuit breaker.
         self.restarts = 0
-        # session_id -> re-open recipe for the snapshotless re-warm fallback.
-        self.open_specs: Dict[str, dict] = {}
 
 
 class ShardedScheduler:
@@ -588,9 +582,6 @@ class ShardedScheduler:
         # persistent-id pickling; holding the object keeps ids stable.
         self._detector_refs: Dict[int, Tuple[object, int]] = {}
         self._next_detector_ref = 0
-        # lane_key -> parent-side predictor (supervised fabrics only): the
-        # re-warm fallback re-ships weights from here after a respawn.
-        self._lane_predictors: Dict[str, GlucosePredictor] = {}
         self._closed = False
 
     def _spawn_worker(self, index: int):
@@ -846,7 +837,7 @@ class ShardedScheduler:
 
     def _journal(self, shard: _Shard, message: tuple) -> None:
         """Append an acked state-mutating command to the shard's replay log."""
-        if self._snapshot_interval is None:
+        if self.supervision is None:
             return
         if message[0] in _JOURNALED_COMMANDS:
             shard.journal.append(message)
@@ -873,11 +864,9 @@ class ShardedScheduler:
 
         Bounded exponential backoff between attempts; the ``max_restarts``
         circuit breaker converts a crash-looping shard back into the
-        terminal dropped-ticks behavior.  Rehydration prefers exactness:
-        restore the last piggybacked snapshot and replay the journal
-        (bitwise resume), else replay the journal from worker birth (still
-        bitwise), else — snapshots disabled — re-open every session fresh
-        (PR 6 re-warm semantics).
+        terminal dropped-ticks behavior.  Rehydration is always exact:
+        restore the last piggybacked snapshot and replay the journal, or —
+        before the first snapshot — replay the journal from worker birth.
         """
         if self.supervision is None or self._closed:
             return False
@@ -904,11 +893,7 @@ class ShardedScheduler:
             shard.conn = conn
             shard.alive = True
             shard.last_tick_latency = None
-            mode = (
-                "snapshot"
-                if shard.snapshot is not None
-                else ("journal" if self._snapshot_interval is not None else "rewarm")
-            )
+            mode = "snapshot" if shard.snapshot is not None else "journal"
             logger.warning(
                 "shard %d worker respawned (restart %d/%d, backoff %.3fs, mode=%s)",
                 shard.index,
@@ -939,16 +924,12 @@ class ShardedScheduler:
                     )
                     shard.shipped_detectors = set(meta.get("detector_refs", ()))
                     self._replay_journal(shard)
-                elif self._snapshot_interval is not None:
+                else:
                     # No snapshot yet: the journal reaches back to worker
                     # birth, so replaying it alone is still exact.
                     shard.shipped_models = set()
                     shard.shipped_detectors = set()
                     self._replay_journal(shard)
-                else:
-                    shard.shipped_models = set()
-                    shard.shipped_detectors = set()
-                    self._rewarm_shard(shard)
             except ShardDeadError:
                 # The respawn died during rehydration; burn another restart
                 # (or trip the breaker at the top of the loop).
@@ -992,42 +973,6 @@ class ShardedScheduler:
                     shard.snapshot = payload["snapshot"]
                     remaining = replay[position + 1 :]
         shard.journal = remaining
-
-    def _rewarm_shard(self, shard: _Shard) -> None:
-        """Snapshotless fallback: re-open every session fresh on the respawn.
-
-        PR 6 quarantine/re-warm semantics — model weights and detector
-        objects are re-shipped from the parent registries, sessions restart
-        at tick 0 with empty rings and cold adapter state, and the parent
-        mirrors reset to match.  Exact for the model (weights are
-        immutable) but *not* resume-exact: warm stream state is lost.
-        """
-        detector_by_ref = {ref: obj for obj, ref in self._detector_refs.values()}
-        for session_id, spec in shard.open_specs.items():
-            lane_key = spec["lane_key"]
-            if lane_key not in shard.shipped_models:
-                payload = pickle.dumps(
-                    self._lane_predictors[lane_key], protocol=_PICKLE_PROTOCOL
-                )
-                self._raw_request(shard, ("model", lane_key, payload), timeout=None)
-                shard.shipped_models.add(lane_key)
-            for ref in spec["detector_refs"]:
-                if ref not in shard.shipped_detectors:
-                    payload = pickle.dumps(
-                        detector_by_ref[ref], protocol=_PICKLE_PROTOCOL
-                    )
-                    self._raw_request(shard, ("detector", ref, payload), timeout=None)
-                    shard.shipped_detectors.add(ref)
-            self._raw_request(shard, ("open", spec["spec"]), timeout=None)
-            handle = self._sessions[session_id]
-            handle.ticks = 0
-            handle.last_prediction = None
-            handle._ring.reset()
-            handle._blocked = False
-            if self.obs is not None:
-                self.obs.registry.inc(
-                    "recovery.sessions_rewarmed_total", shard=shard.index
-                )
 
     # ------------------------------------------------------------------ sessions
     def shard_for(self, lane_key: str, session_id: str) -> int:
@@ -1120,21 +1065,6 @@ class ShardedScheduler:
         )
         self._sessions[session_id] = handle
         self._lane_keys.add(lane_key)
-        if self.supervision is not None:
-            # Re-warm recipe: enough to rebuild the session from parent-side
-            # objects when a respawn has no snapshot/journal to replay.
-            self._lane_predictors[lane_key] = predictor
-            refs = []
-            if detectors:
-                for adapter in detectors.values():
-                    detector = getattr(adapter, "detector", None)
-                    if detector is not None:
-                        refs.append(self._detector_refs[id(detector)][1])
-            shard.open_specs[session_id] = {
-                "lane_key": lane_key,
-                "detector_refs": tuple(refs),
-                "spec": spec,
-            }
         return handle
 
     def close_session(self, session_id: str) -> None:
@@ -1147,9 +1077,6 @@ class ShardedScheduler:
                 timeline = self._request(shard, ("close", handle.session_id))
             except ShardDeadError:
                 timeline = None
-        # Popped only after the round-trip: a supervised re-warm recovery
-        # mid-close must still re-open the session it is about to close.
-        shard.open_specs.pop(handle.session_id, None)
         if handle.health is not None:
             handle.health._finalize(timeline)
 
@@ -1266,7 +1193,7 @@ class ShardedScheduler:
                     )
                 )
                 continue
-            if self._snapshot_interval is not None:
+            if self.supervision is not None:
                 snapshot = payload.get("snapshot")
                 if snapshot is not None:
                     # The snapshot includes this tick: it supersedes the

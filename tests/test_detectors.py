@@ -485,112 +485,3 @@ class TestEnsemble:
     def test_min_votes_validated(self):
         with pytest.raises(ValueError):
             VotingEnsembleDetector([KNNDistanceDetector()], min_votes=5)
-
-
-class TestMADGANFallbackCoalescing:
-    """Deferred cold fallbacks (`fallback_defer`): under churn-heavy streams,
-    benign-scale warm regressions coalesce into fewer batched cold inversions
-    with verdicts identical to the eager mode, while anomaly-relevant
-    regressions still cold-verify in the same tick."""
-
-    BASE_KWARGS = dict(
-        epochs=3,
-        hidden_size=10,
-        inversion_steps=20,
-        warm_inversion_steps=2,  # deliberately under-converged: frequent mild
-        warm_fallback_ratio=1.02,  # regressions without any real anomaly
-        cold_refresh_interval=None,
-        seed=2,
-    )
-
-    @classmethod
-    def _fit(cls, fallback_defer):
-        windows, labels = make_toy_windows(n_benign=120, n_malicious=0, seed=3)
-        detector = MADGANDetector(fallback_defer=fallback_defer, **cls.BASE_KWARGS)
-        detector.fit(windows[labels == 0][:100])
-        return detector
-
-    @staticmethod
-    def _churn_traces(n_streams, length):
-        """Mild benign wobble everywhere; a genuine spoofed burst on a few."""
-        generator = np.random.default_rng(5)
-        traces = []
-        for index in range(n_streams):
-            trace = make_toy_trace(length, seed=30 + index)
-            trace[:, 0] += generator.normal(0, 1.2, size=len(trace))
-            if index % 4 == 0:
-                trace[20:23, 0] += 120.0
-            traces.append(trace)
-        return traces
-
-    @classmethod
-    def _replay(cls, fallback_defer, n_streams=8, n_ticks=24):
-        from repro.utils.rng import as_random_state
-
-        detector = cls._fit(fallback_defer)
-        history = detector.sequence_length
-        traces = cls._churn_traces(n_streams, n_ticks + history)
-        states = [detector.make_inversion_state() for _ in range(n_streams)]
-        detector._rng = as_random_state(99)
-        detector.inversion_calls = 0
-        verdicts = []
-        for tick in range(n_ticks):
-            windows = np.stack(
-                [trace[tick : tick + history] for trace in traces]
-            )
-            verdicts.append(detector.predict_incremental(windows, states).tolist())
-        return detector, states, verdicts
-
-    def test_invalid_fallback_defer_rejected(self):
-        with pytest.raises(ValueError, match="fallback_defer"):
-            MADGANDetector(fallback_defer=-1)
-
-    def test_fewer_inversion_calls_identical_verdicts(self):
-        eager, _, eager_verdicts = self._replay(fallback_defer=0)
-        deferred, _, deferred_verdicts = self._replay(fallback_defer=4)
-        # The deferred mode must pay strictly fewer `_invert_fast` batches...
-        assert deferred.inversion_calls < eager.inversion_calls
-        # ...with the very same decisions on every tick of every stream
-        # (including the genuinely spoofed bursts, which must stay flagged).
-        assert deferred_verdicts == eager_verdicts
-        assert sum(map(sum, eager_verdicts)) > 0
-
-    def test_deferred_streams_are_reanchored(self):
-        _, states, _ = self._replay(fallback_defer=2)
-        # Nothing may wait past its defer budget: every pending counter is
-        # below the maximum (a flush ran at or before the deadline).
-        assert all(state.pending_cold <= 2 for state in states)
-        assert any(state.fallbacks > 0 for state in states)
-
-    def test_deferral_never_inflates_scores(self):
-        """While pending, a stream reports at most its carried anchor error."""
-        detector = self._fit(fallback_defer=8)
-        history = detector.sequence_length
-        trace = make_toy_trace(6 + history, seed=41)
-        state = detector.make_inversion_state()
-        previous_error = None
-        for tick in range(6):
-            window = trace[tick : tick + history][np.newaxis]
-            detector.scores_incremental(window, [state])
-            if previous_error is not None and state.pending_cold > 1:
-                assert state.error <= previous_error + 1e-12
-            previous_error = state.error
-
-    def test_anomaly_relevant_regression_is_not_deferred(self):
-        """A genuine level shift cold-verifies in the same tick (no latency)."""
-        detector = self._fit(fallback_defer=8)
-        history = detector.sequence_length
-        trace = make_toy_trace(4 + history, seed=42)
-        state = detector.make_inversion_state()
-        # Warm up on the benign prefix, then hit a hard spoofed level.
-        for tick in range(3):
-            detector.scores_incremental(trace[tick : tick + history][np.newaxis], [state])
-        spoofed = trace[3 : 3 + history].copy()
-        spoofed[-3:, 0] += 150.0
-        calls_before = detector.inversion_calls
-        flags = detector.predict_incremental(spoofed[np.newaxis], [state])
-        # The regression escalated: a cold batch ran this very tick (warm +
-        # cold = 2 calls), the window is flagged, and nothing is left pending.
-        assert detector.inversion_calls == calls_before + 2
-        assert int(flags[0]) == 1
-        assert state.pending_cold == 0

@@ -11,10 +11,11 @@ Pins the guarantees the new detector family ships under (ISSUE 9):
   stays row-stochastic;
 * both detectors fit deterministically under a fixed seed (equal
   ``state_hash``);
-* the cross-detector serving contract: streaming verdicts bitwise equal to
-  offline ``predict`` (HMM scores bitwise too; VAE scores within 1e-12 —
-  see ``docs/detectors.md`` for the tolerance table), pickle round-trips
-  preserving ``state_hash`` and scores, ensemble membership;
+* the cross-detector serving contract: the stateless streaming adapter's
+  verdicts are bitwise equal to offline ``predict`` (HMM scores bitwise too;
+  VAE scores within 1e-12 — see ``docs/detectors.md`` for the tolerance
+  table), pickle round-trips preserving ``state_hash`` and scores, ensemble
+  membership;
 * the scheduler's cross-group cold-batch coalescing (the ROADMAP
   kernel-floor gap): identical verdicts with strictly fewer inversion
   batches when one MAD-GAN backs several lanes.
@@ -32,8 +33,7 @@ from repro.detectors import (
     StreamingDetector,
     VotingEnsembleDetector,
 )
-from repro.detectors.hmm import HMMStreamState
-from repro.detectors.lstm_vae import _VAECore, VAEStreamState
+from repro.detectors.lstm_vae import _VAECore
 from repro.nn import Tensor
 from repro.nn.fused import (
     LOG_2PI,
@@ -47,9 +47,9 @@ from tests.test_detectors import make_toy_trace, sliding_windows
 
 GRADIENT_TOLERANCE = 1e-8
 LOSS_CURVE_TOLERANCE = 1e-6
-#: Steady-state streaming VAE scores vs offline: the one-sample ring
-#: projection is a different BLAS dispatch than the window-sized product
-#: (measured gap ~2e-15 on the fixture; verdicts are bitwise regardless).
+#: Streaming VAE scores vs offline: a one-window product is a different
+#: BLAS dispatch than the all-windows product (verdicts are bitwise
+#: regardless).
 VAE_STREAM_SCORE_TOLERANCE = 1e-12
 
 
@@ -270,47 +270,42 @@ class TestStreamingOfflineParity:
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_streaming_verdicts_bitwise_equal_offline(self, family, name):
         detector = family[name]
-        windows = sliding_windows(make_toy_trace(14, seed=21), 14)
+        trace = make_toy_trace(14, seed=21)
+        windows = sliding_windows(trace, 14)
         offline_flags = detector.predict(windows)
         offline_scores = detector.scores(windows)
-        state = detector.make_inversion_state()
-        stream_flags, stream_scores = [], []
-        for tick in range(len(windows)):
-            flags, scores = detector.predict_incremental(
-                windows[tick : tick + 1], [state], include_scores=True
-            )
-            stream_flags.append(int(flags[0]))
-            stream_scores.append(float(scores[0]))
-        np.testing.assert_array_equal(np.array(stream_flags), offline_flags)
+        # VAE and HMM stream through the stateless window path.
+        adapter = StreamingDetector(detector, unit="window", include_scores=True)
+        assert not adapter.incremental
+        assert adapter.inversion_state is None
+        verdicts = [adapter.update(sample) for sample in trace]
+        assert all(verdict.warming for verdict in verdicts[:11])
+        served = verdicts[11:]
+        stream_flags = np.array([int(verdict.flagged) for verdict in served])
+        stream_scores = np.array([verdict.score for verdict in served])
+        np.testing.assert_array_equal(stream_flags, offline_flags)
         if name == "hmm":
             # Broadcast-reduce forward: batch-composition independent, so
             # per-tick streaming scores match the batched offline call bitwise.
-            np.testing.assert_array_equal(np.array(stream_scores), offline_scores)
+            np.testing.assert_array_equal(stream_scores, offline_scores)
         else:
             # The VAE's BLAS products round per batch shape (one window per
             # tick vs all windows at once offline): scores within 1e-12.
-            gap = np.abs(np.array(stream_scores) - offline_scores).max()
+            gap = np.abs(stream_scores - offline_scores).max()
             assert gap <= VAE_STREAM_SCORE_TOLERANCE
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_batched_streams_match_single_streams(self, family, name):
-        """Scoring k streams in one call == scoring each alone: bitwise for
-        the matmul-free HMM, verdict-bitwise (scores ≤ 1e-12) for the VAE,
-        whose recurrence/decoder matmuls round per batch shape."""
+        """Scoring k streams' windows in one call (a lane batch) == scoring
+        each alone: bitwise for the matmul-free HMM, verdict-bitwise
+        (scores <= 1e-12) for the VAE, whose matmuls round per batch shape."""
         detector = family[name]
         traces = [make_toy_trace(10, seed=30 + index) for index in range(3)]
-        batch_states = [detector.make_inversion_state() for _ in traces]
-        solo_states = [detector.make_inversion_state() for _ in traces]
         for tick in range(10):
             stacked = np.stack([trace[tick : tick + 12] for trace in traces])
-            batched = detector.scores_incremental(stacked, batch_states)
+            batched = detector.scores(stacked)
             solo = np.array(
-                [
-                    detector.scores_incremental(
-                        stacked[index : index + 1], [solo_states[index]]
-                    )[0]
-                    for index in range(len(traces))
-                ]
+                [detector.scores(stacked[index : index + 1])[0] for index in range(len(traces))]
             )
             if name == "hmm":
                 np.testing.assert_array_equal(batched, solo)
@@ -323,27 +318,35 @@ class TestStreamingOfflineParity:
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_state_reset_recovers_cold_parity(self, family, name):
+        # The adapter's only stream state is its window ring: after a reset
+        # it re-warms and the first verdict matches offline on that window.
         detector = family[name]
-        windows = sliding_windows(make_toy_trace(4, seed=33), 4)
-        state = detector.make_inversion_state()
-        for tick in range(len(windows)):
-            detector.scores_incremental(windows[tick : tick + 1], [state])
-        state.reset()
-        assert state.ticks == 0
-        fresh = detector.scores_incremental(windows[:1], [state])
-        np.testing.assert_array_equal(fresh, detector.scores(windows[:1]))
+        trace = make_toy_trace(4, seed=33)
+        adapter = StreamingDetector(detector, unit="window", include_scores=True)
+        for sample in trace:
+            adapter.update(sample)
+        adapter.reset()
+        assert adapter.ticks == 0 and adapter.window() is None
+        verdicts = [adapter.update(sample) for sample in trace[:12]]
+        assert all(verdict.warming for verdict in verdicts[:11])
+        offline = detector.scores(trace[np.newaxis, :12])
+        np.testing.assert_array_equal([verdicts[-1].score], offline)
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_streaming_adapter_auto_enables_incremental(self, family, name):
+        # Only MAD-GAN is auto-upgraded to incremental scoring; VAE and HMM
+        # adapters stay stateless and refuse an explicit request for it.
         adapter = StreamingDetector(family[name], unit="window")
-        assert adapter.incremental
+        assert not adapter.incremental
+        with pytest.raises(ValueError, match="incremental"):
+            StreamingDetector(family[name], unit="window", incremental=True)
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_state_alignment_validated(self, family, name):
-        detector = family[name]
-        windows = sliding_windows(make_toy_trace(2, seed=34), 2)
-        with pytest.raises(ValueError, match="same length"):
-            detector.scores_incremental(windows, [detector.make_inversion_state()])
+        # A ring shorter than the fitted window would fail on every warm
+        # tick; the adapter refuses it at construction.
+        with pytest.raises(ValueError, match="sequence_length=12"):
+            StreamingDetector(family[name], unit="window", history=6)
 
 
 class TestFamilySerialization:
@@ -358,22 +361,15 @@ class TestFamilySerialization:
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_stream_state_survives_mid_stream(self, family, name):
-        detector = family[name]
-        windows = sliding_windows(make_toy_trace(8, seed=35), 8)
-        state = detector.make_inversion_state()
-        for tick in range(4):
-            detector.scores_incremental(windows[tick : tick + 1], [state])
-        copy = round_trip(state)
-        for tick in range(4, 8):
-            left = detector.scores_incremental(windows[tick : tick + 1], [state])
-            right = detector.scores_incremental(windows[tick : tick + 1], [copy])
-            np.testing.assert_array_equal(left, right)
-
-    def test_stream_state_constructors_validate(self):
-        with pytest.raises(ValueError):
-            VAEStreamState(0, 8)
-        with pytest.raises(ValueError):
-            HMMStreamState(3, 0)
+        # A warm adapter pickled mid-stream (as a scheduler snapshot does)
+        # continues bitwise: its ring and tick counter round-trip exactly.
+        trace = make_toy_trace(8, seed=35)
+        adapter = StreamingDetector(family[name], unit="window", include_scores=True)
+        for sample in trace[:15]:
+            adapter.update(sample)
+        copy = round_trip(adapter)
+        for sample in trace[15:]:
+            assert adapter.update(sample) == copy.update(sample)
 
 
 class TestEnsembleMembership:
@@ -391,9 +387,9 @@ class TestEnsembleMembership:
 
 # ------------------------------------------------- cold-batch coalescing (MAD-GAN)
 class TestColdBatchCoalescing:
-    """The ROADMAP kernel-floor gap: deferred cold work coalesces per detector
-    GROUP only — the scheduler must merge cold batches across the groups one
-    shared MAD-GAN backs, with verdicts identical to the uncoalesced path."""
+    """Without coalescing, cold inversions batch per detector GROUP only —
+    the scheduler must merge cold batches across the groups one shared
+    MAD-GAN backs, with verdicts identical to the uncoalesced path."""
 
     @pytest.fixture(scope="class")
     def benign(self):

@@ -5,12 +5,13 @@ Pins the contract of :mod:`repro.serving.recovery` (see ``docs/recovery.md``):
 * ``StreamScheduler.snapshot()`` → ``StreamScheduler.restore()`` continues
   ticking **bitwise identically** to the uninterrupted scheduler, for every
   carried state family — predictor lane slots (BiLSTM recurrent stream
-  state), sample rings, the LSTM-VAE projection ring and Gaussian-HMM
-  partial-alpha band, MAD-GAN's warm-started inversion state (including its
-  RNG position), and a :class:`SessionHealth` snapshotted mid-quarantine
-  with a non-zero backoff,
+  state), sample rings (the whole stream state of the stateless LSTM-VAE
+  and Gaussian-HMM adapters), MAD-GAN's warm-started inversion state
+  (including its RNG position), and a :class:`SessionHealth` snapshotted
+  mid-quarantine with a non-zero backoff,
 * snapshot files are versioned + checksummed: truncation, corruption, bad
-  magic, trailing bytes, and unknown versions are rejected loudly
+  magic, trailing bytes, and unknown versions — including version-1 files,
+  whose pickles may name deleted classes — are rejected loudly
   (:class:`SnapshotError`) instead of deserializing garbage state, and
 * :class:`SchedulerCheckpointer` rotates atomically-written files and loads
   the newest one.
@@ -19,6 +20,7 @@ The end-to-end recovery gate (kill-mix at 2/4 shards under full chaos) is
 wired in via ``scripts/check_parity.py::run_recovery_smoke`` at the bottom.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -27,6 +29,7 @@ import pytest
 
 from repro.detectors import KNNDistanceDetector
 from repro.detectors.streaming import StreamingDetector
+import repro.serving.recovery as recovery_module
 from repro.serving import (
     HealthConfig,
     IngressConfig,
@@ -128,7 +131,7 @@ class TestSchedulerSnapshot:
         assert_resumes_bitwise(build, feeds, split_at=7)
 
     def test_window_brains_resume_bitwise(self, tiny_zoo, tiny_cohort, feeds):
-        """LSTM-VAE projection ring + HMM alpha band resume bitwise, warm."""
+        """LSTM-VAE + HMM adapters (window rings) resume bitwise, warm."""
         from repro.detectors import GaussianHMMDetector, LSTMVAEDetector
 
         records = list(tiny_cohort)[:2]
@@ -155,7 +158,7 @@ class TestSchedulerSnapshot:
             {label: sample for label, sample in feed.items() if label in labels}
             for feed in feeds
         ]
-        # Snapshot after warm-up so both carried stream states are non-trivial.
+        # Snapshot after warm-up so both window rings are full.
         original, restored = assert_resumes_bitwise(
             build, feeds[:18], split_at=HISTORY + 2
         )
@@ -303,6 +306,22 @@ class TestSnapshotFiles:
         data[len(SNAPSHOT_MAGIC)] = 0xEE  # little-endian u32 version field
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotError, match="version"):
+            read_snapshot(path)
+
+    def test_version_one_file_rejected_before_unpickling(self, tmp_path):
+        # A well-formed version-1 file whose body names a class that no
+        # longer exists: the header check must refuse it before pickle
+        # would fail deep inside with an AttributeError.
+        body = b"crepro.detectors.hmm\nRemovedStreamState\n."
+        path = tmp_path / "v1.snap"
+        path.write_bytes(
+            recovery_module._HEADER.pack(
+                SNAPSHOT_MAGIC, 1, len(body), hashlib.sha256(body).digest()
+            )
+            + body
+        )
+        assert SNAPSHOT_VERSION != 1
+        with pytest.raises(SnapshotError, match="version 1"):
             read_snapshot(path)
 
     def test_trailing_bytes_rejected(self, snapshot, tmp_path):

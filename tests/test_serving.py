@@ -676,6 +676,14 @@ class TestIncrementalStreamingAdapter:
         with pytest.raises(ValueError, match="incremental"):
             StreamingDetector(sample_detector, unit="sample", incremental=True)
 
+    def test_window_length_must_match_detector(self, madgan):
+        # A 6-sample ring on a 12-step detector would fail on every warm
+        # tick; the adapter refuses it up front, incremental or not.
+        for incremental in (None, False):
+            with pytest.raises(ValueError, match="sequence_length=12"):
+                StreamingDetector(madgan, unit="window", history=6, incremental=incremental)
+        assert StreamingDetector(madgan, unit="window", history=12).history == 12
+
     def test_reference_path_detector_is_not_auto_incremental(self):
         from repro.detectors import MADGANDetector
 
@@ -714,29 +722,41 @@ class TestIncrementalStreamingAdapter:
 
     @pytest.mark.parametrize("name", ["lstm_vae", "hmm"])
     def test_family_auto_enables_incremental(self, window_brains, name):
+        # The auto-enable decision for the VAE/HMM family: they expose no
+        # incremental scoring API, so the adapter never turns it on and
+        # refuses an explicit request for it.
         detector = window_brains[name]
-        assert StreamingDetector(detector, unit="window").incremental
+        assert not StreamingDetector(detector, unit="window").incremental
         assert not StreamingDetector(
             detector, unit="window", incremental=False
         ).incremental
+        with pytest.raises(ValueError, match="incremental"):
+            StreamingDetector(detector, unit="window", incremental=True)
 
     @pytest.mark.parametrize("name", ["lstm_vae", "hmm"])
     def test_family_threads_stream_state_per_tick(
         self, window_brains, tiny_cohort, name
     ):
+        # VAE and HMM carry no per-stream detector state: the adapter's
+        # stream state is its window ring, re-scored statelessly each tick.
         detector = window_brains[name]
         record = next(iter(tiny_cohort))
         features = record.features("test")[:16]
         adapter = StreamingDetector(detector, unit="window", history=12)
+        assert not adapter.incremental
+        assert adapter.inversion_state is None
         for index, sample in enumerate(features):
             verdict = adapter.update(sample)
             if index < 11:
                 assert verdict.warming
             else:
                 assert verdict.flagged is not None
-        assert adapter.inversion_state.ticks == 16 - 11
+                view = features[index - 11 : index + 1][np.newaxis]
+                assert verdict.flagged == bool(detector.predict(view)[0])
+        assert adapter.ticks == 16
         adapter.reset()
-        assert adapter.inversion_state.ticks == 0
+        assert adapter.ticks == 0
+        assert adapter.window() is None
 
     def test_scheduler_threads_states_through_batched_ticks(
         self, madgan, aggregate_zoo, tiny_cohort

@@ -7,8 +7,8 @@ Pins the self-healing half of the recovery contract (``docs/recovery.md``):
 * a SIGKILLed worker is respawned and rehydrated (snapshot + journal replay,
   or journal-from-birth before the first snapshot) with **bitwise** resume —
   the recovered run equals a run that never crashed,
-* with snapshots disabled the supervisor falls back to the PR-6 re-warm path
-  (sessions restart fresh instead of resuming, but keep being served),
+* snapshots cannot be disabled — every recovery path is bitwise, so
+  ``snapshot_interval`` must be an int >= 1,
 * the ``max_restarts`` circuit breaker turns a crash-looping shard back into
   the old terminal dropped-tick behavior,
 * a hung worker trips ``request_timeout``: it is force-killed
@@ -182,25 +182,6 @@ class TestSupervisedRespawn:
         assert restarts >= 1
         assert (out, timelines) == baseline[:2]
 
-    def test_rewarm_fallback_serves_fresh_sessions(self, run):
-        # Snapshots disabled: recovery falls back to the PR-6 re-warm path.
-        # The killed shard's sessions restart from tick 0 (not resumed) but
-        # keep being served — no terminal dropped ticks.
-        out, _, restarts = run(
-            2,
-            supervision=SupervisorConfig(snapshot_interval=None, restart_backoff=0.01),
-            kills={13: 0},
-        )
-        assert restarts >= 1
-        tick13 = {
-            session_id: (tick, dropped)
-            for (session_id, tick, _, _, _, dropped, _) in out[13]
-        }
-        assert any(
-            tick == 0 for tick, dropped in tick13.values() if not dropped
-        ), "no session was re-warmed from scratch"
-        assert all(not dropped for _, dropped in tick13.values())
-
     def test_circuit_breaker_opens_after_max_restarts(self, run):
         out, _, restarts = run(
             2,
@@ -235,6 +216,13 @@ class TestSupervisedRespawn:
         assert registry.counter_total("recovery.journal_replayed_total") >= 1
         respawned = [e for e in observer.events if e.kind == "worker_respawned"]
         assert respawned and respawned[0].fields["mode"] in ("snapshot", "journal")
+
+
+class TestSupervisorConfig:
+    @pytest.mark.parametrize("interval", [None, 0])
+    def test_snapshot_interval_must_be_positive_int(self, interval):
+        with pytest.raises(ValueError, match="snapshot_interval"):
+            SupervisorConfig(snapshot_interval=interval)
 
 
 class TestRequestTimeout:
