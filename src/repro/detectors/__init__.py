@@ -1,7 +1,12 @@
 """Static anomaly detectors (kNN, OneClassSVM, MAD-GAN, LSTM-VAE, HMM,
 ensemble) and the per-tick streaming adapter used by :mod:`repro.serving`."""
 
-from repro.detectors.base import AnomalyDetector, ScaledDetectorMixin, ThresholdCalibrator
+from repro.detectors.base import (
+    AnomalyDetector,
+    CalibratedDetector,
+    ScaledDetectorMixin,
+    ThresholdCalibrator,
+)
 from repro.detectors.knn import KNNClassifierDetector, KNNDistanceDetector, minkowski_distances
 from repro.detectors.ocsvm import OneClassSVMDetector, kernel_matrix
 from repro.detectors.madgan import (
@@ -19,6 +24,7 @@ from repro.detectors.streaming import StreamingDetector, StreamVerdict
 
 __all__ = [
     "AnomalyDetector",
+    "CalibratedDetector",
     "ScaledDetectorMixin",
     "ThresholdCalibrator",
     "KNNClassifierDetector",

@@ -14,7 +14,7 @@ distribution.  The supervised kNN classifier additionally accepts labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,15 @@ class AnomalyDetector:
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Binary predictions: 1 for anomalous/malicious, 0 for benign."""
         raise NotImplementedError
+
+    def predict_with_scores(self, windows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(predict(windows), scores(windows))`` for one batch.
+
+        Detectors whose decision thresholds their own scores override this to
+        score once (see :class:`CalibratedDetector`), so a caller that wants
+        both gets the very scores the flags came from.
+        """
+        return self.predict(windows), self.scores(windows)
 
     # ------------------------------------------------------------------ helpers
     @staticmethod
@@ -69,6 +78,26 @@ class ThresholdCalibrator:
         check_fitted(self, ("threshold_",))
         scores = check_array(scores, "scores", ndim=1)
         return (scores > self.threshold_).astype(int)
+
+
+class CalibratedDetector(AnomalyDetector):
+    """A detector whose decision is ``calibrator.predict(scores)``.
+
+    Subclasses set ``self.calibrator`` (a :class:`ThresholdCalibrator`) and
+    fit it on benign scores.  Scoring may draw from the detector's RNG
+    (MAD-GAN's cold inversion does), so :meth:`predict_with_scores` scores
+    once and thresholds those scores rather than scoring twice.
+    """
+
+    calibrator: ThresholdCalibrator
+
+    def predict(self, windows: np.ndarray) -> np.ndarray:
+        """Binary decisions for raw windows: 1 = anomalous (see :meth:`scores`)."""
+        return self.calibrator.predict(self.scores(windows))
+
+    def predict_with_scores(self, windows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        scores = self.scores(windows)
+        return self.calibrator.predict(scores), scores
 
 
 class ScaledDetectorMixin:

@@ -80,11 +80,17 @@ class VotingEnsembleDetector(AnomalyDetector):
         fraction = self.min_votes / len(self.detectors)
         return max(1, int(np.ceil(fraction * n_active - 1e-12)))
 
+    def _votes(self, windows: np.ndarray, exclude: Optional[Sequence]) -> np.ndarray:
+        """``(n_active, n)`` member flags, one ``predict`` per active member."""
+        active = self.active_detectors(exclude)
+        return np.stack([detector.predict(windows) for detector in active])
+
+    def _decide(self, votes: np.ndarray) -> np.ndarray:
+        return (votes.sum(axis=0) >= self.effective_min_votes(len(votes))).astype(int)
+
     def scores(self, windows: np.ndarray, exclude: Optional[Sequence] = None) -> np.ndarray:
         check_array(windows, "windows", ndim=3, min_samples=1)
-        active = self.active_detectors(exclude)
-        votes = np.stack([detector.predict(windows) for detector in active])
-        return votes.mean(axis=0)
+        return self._votes(windows, exclude).mean(axis=0)
 
     def predict(self, windows: np.ndarray, exclude: Optional[Sequence] = None) -> np.ndarray:
         """Majority vote; ``exclude`` drops degraded members and renormalizes.
@@ -94,6 +100,9 @@ class VotingEnsembleDetector(AnomalyDetector):
         proportionally (:meth:`effective_min_votes`) so one quarantined
         detector cannot silently veto the whole ensemble.
         """
-        active = self.active_detectors(exclude)
-        votes = np.stack([detector.predict(windows) for detector in active])
-        return (votes.sum(axis=0) >= self.effective_min_votes(len(active))).astype(int)
+        return self._decide(self._votes(windows, exclude))
+
+    def predict_with_scores(self, windows: np.ndarray, exclude: Optional[Sequence] = None):
+        """``(predict, scores)`` from one vote: each member predicts once."""
+        votes = self._votes(windows, exclude)
+        return self._decide(votes), votes.mean(axis=0)

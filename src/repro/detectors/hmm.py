@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
+from repro.detectors.base import CalibratedDetector, ThresholdCalibrator
 from repro.nn.fused import LOG_2PI
 from repro.utils.rng import as_random_state
 from repro.utils.timeseries import StandardScaler
@@ -37,7 +37,7 @@ from repro.utils.validation import check_array, check_fitted
 EMISSION_FLOOR = 1e-300
 
 
-class GaussianHMMDetector(AnomalyDetector):
+class GaussianHMMDetector(CalibratedDetector):
     """HMM-likelihood detector fitted by Baum-Welch on benign windows.
 
     Parameters
@@ -272,10 +272,6 @@ class GaussianHMMDetector(AnomalyDetector):
         check_fitted(self, ("_scaler", "loglik_history_"))
         scaled = self._scale(np.asarray(windows, dtype=np.float64))
         return -self._window_logliks(scaled)
-
-    def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Binary decisions for raw windows: 1 = anomalous (see :meth:`scores`)."""
-        return self.calibrator.predict(self.scores(windows))
 
     # -------------------------------------------------------------- addressing
     def state_hash(self) -> str:

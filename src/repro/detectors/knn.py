@@ -13,7 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.detectors.base import AnomalyDetector, ScaledDetectorMixin, ThresholdCalibrator
+from repro.detectors.base import (
+    AnomalyDetector,
+    CalibratedDetector,
+    ScaledDetectorMixin,
+    ThresholdCalibrator,
+)
 from repro.utils.validation import check_array, check_consistent_length, check_fitted
 
 
@@ -109,7 +114,7 @@ class KNNClassifierDetector(AnomalyDetector, ScaledDetectorMixin):
         return (self.scores(windows) >= 0.5).astype(int)
 
 
-class KNNDistanceDetector(AnomalyDetector, ScaledDetectorMixin):
+class KNNDistanceDetector(CalibratedDetector, ScaledDetectorMixin):
     """Unsupervised kNN detector: mean distance to the k nearest benign points.
 
     Fit only on benign windows; the decision threshold is calibrated as a
@@ -161,5 +166,3 @@ class KNNDistanceDetector(AnomalyDetector, ScaledDetectorMixin):
         scaled = self._apply_scaler(self._flatten(windows))
         return self._mean_knn_distance(scaled)
 
-    def predict(self, windows: np.ndarray) -> np.ndarray:
-        return self.calibrator.predict(self.scores(windows))

@@ -29,7 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
+from repro.detectors.base import CalibratedDetector, ThresholdCalibrator
 from repro.nn import Adam, BatchIterator, Dense, FusedTrainer, LSTM, Module, Tensor
 from repro.nn.fused import LOG_2PI, fused_vae_loss_head
 from repro.nn.tensor import as_tensor, stack
@@ -172,7 +172,7 @@ class _VAECore(Module):
         return self.encoder.fused_backward_train(d_encoded, encoder_cache)
 
 
-class LSTMVAEDetector(AnomalyDetector):
+class LSTMVAEDetector(CalibratedDetector):
     """LSTM-VAE detector: per-window reconstruction NLL under the decoder Gaussian.
 
     Parameters
@@ -371,10 +371,6 @@ class LSTMVAEDetector(AnomalyDetector):
         check_fitted(self, ("_scaler", "history_"))
         scaled = self._scale(np.asarray(windows, dtype=np.float64))
         return self._nll_scores(scaled)
-
-    def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Binary decisions for raw windows: 1 = anomalous (see :meth:`scores`)."""
-        return self.calibrator.predict(self.scores(windows))
 
     # -------------------------------------------------------------- addressing
     def state_hash(self) -> str:

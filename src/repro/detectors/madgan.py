@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
+from repro.detectors.base import CalibratedDetector, ThresholdCalibrator
 from repro.nn import functional as F
 from repro.nn import (
     Adam,
@@ -90,101 +90,193 @@ class SequenceGenerator(Module):
 
         Returns ``(generated, latent_gradient)`` where ``latent_gradient`` is
         the gradient of ``mean((generated - target) ** 2)`` with respect to
-        ``latent``.  This is a hand-written BPTT through the frozen LSTM and
-        head that mirrors the autodiff graph operation-for-operation (same
-        clipped sigmoid, same gate math, same loss-gradient seeding), so the
-        inversion loop produces the same latent trajectory as optimizing
-        through the graph — without allocating a single ``Tensor`` node or
-        computing any parameter gradient.
+        ``latent``.  One-shot use of :class:`_InversionKernel` — the same code
+        the inversion loop runs once per gradient step on a reused workspace.
         """
-        cell = self.lstm.cell
-        weight_input = cell.weight_input.data
-        weight_hidden = cell.weight_hidden.data
-        bias = cell.bias.data
-        head_weight = self.head.weight.data
-        head_bias = self.head.bias.data
-
         latent = np.asarray(latent, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        batch, timesteps, _ = latent.shape
-        size = self.hidden_size
+        kernel = _InversionKernel(self, *latent.shape[:2])
+        return kernel.grad(latent, np.asarray(target, dtype=np.float64))
 
-        # ---- forward (fused input projection, saved gate activations) ----
-        projections = (
-            latent.reshape(batch * timesteps, self.latent_dim) @ weight_input
-        ).reshape(batch, timesteps, 4 * size)
-        hidden = np.zeros((batch, size))
-        cell_state = np.zeros((batch, size))
-        hidden_seq = np.empty((batch, timesteps, size))
-        prev_cells = np.empty((batch, timesteps, size))
-        gate_i = np.empty((batch, timesteps, size))
-        gate_f = np.empty((batch, timesteps, size))
-        gate_g = np.empty((batch, timesteps, size))
-        gate_o = np.empty((batch, timesteps, size))
-        tanh_cells = np.empty((batch, timesteps, size))
-        for step in range(timesteps):
-            gates = (projections[:, step, :] + hidden @ weight_hidden) + bias
-            i = F.sigmoid(gates[:, 0:size])
-            f = F.sigmoid(gates[:, size : 2 * size])
-            g = np.tanh(gates[:, 2 * size : 3 * size])
-            o = F.sigmoid(gates[:, 3 * size : 4 * size])
-            prev_cells[:, step, :] = cell_state
-            cell_state = f * cell_state + i * g
-            tanh_c = np.tanh(cell_state)
-            hidden = o * tanh_c
-            gate_i[:, step, :] = i
-            gate_f[:, step, :] = f
-            gate_g[:, step, :] = g
-            gate_o[:, step, :] = o
-            tanh_cells[:, step, :] = tanh_c
-            hidden_seq[:, step, :] = hidden
 
-        flat = hidden_seq.reshape(batch * timesteps, size)
-        generated = (flat @ head_weight + head_bias).reshape(
-            batch, timesteps, self.n_features
+class _InversionKernel:
+    """Latent-only BPTT through the frozen generator on a reusable workspace.
+
+    A hand-written backward through the LSTM and head that mirrors the
+    autodiff graph operation-for-operation (same clipped sigmoid, same gate
+    math, same loss-gradient seeding), so the inversion loop follows the
+    latent trajectory of optimizing through the graph without allocating a
+    ``Tensor`` node or computing a parameter gradient.
+
+    Every buffer is allocated once, for one ``(batch, timesteps)`` shape, and
+    reused by each :meth:`grad` call; an inversion builds one kernel per
+    batch and drops it afterwards, so nothing is cached on the generator.
+    Weights are read when the kernel is built.
+
+    Outputs are bitwise those of the straightforward per-step
+    implementation (``reference_inversion_grad`` in
+    ``tests/test_detectors.py``): each elementwise expression keeps its
+    operation order, and each matmul keeps its operand shapes and layout
+    (batch-major projections, ``@ W.T`` as a transposed view), because
+    matmul rounding is not stable across layouts.  Only the elementwise work
+    is re-laid out: activations are stored time-major and *gate-major* —
+    ``[step, gate]`` is one contiguous ``(batch, hidden)`` block — so the
+    per-step gate math runs on whole blocks instead of ``hidden``-wide row
+    slices.
+    """
+
+    def __init__(self, generator: SequenceGenerator, batch: int, timesteps: int):
+        cell = generator.lstm.cell
+        size = generator.hidden_size
+        self.weight_input = cell.weight_input.data
+        self.weight_hidden = cell.weight_hidden.data
+        self.bias = np.ascontiguousarray(
+            np.broadcast_to(cell.bias.data.reshape(4, 1, size), (4, batch, size))
         )
+        self.head_weight = generator.head.weight.data
+        self.head_bias = generator.head.bias.data
+
+        def gate_major(rows: np.ndarray) -> np.ndarray:
+            # (batch, 4 * hidden) rows -> (4, batch, hidden) view
+            return rows.reshape(batch, 4, size).transpose(1, 0, 2)
+
+        # Batch-major input projections; the backward then overwrites each
+        # step's slice with that step's gate gradients, the operand of the
+        # final ``@ weight_input.T``.
+        self.projections = np.empty((batch, timesteps, 4 * size))
+        self.hidden_weighted = np.empty((batch, 4 * size))
+        self.hidden_weighted_by_gate = gate_major(self.hidden_weighted)
+        # Activated gates [i, f, ·, o]: the forward leaves a spent sigmoid
+        # in the candidate slot, then ``1 - g²`` replaces it.
+        self.gates = np.empty((timesteps, 4, batch, size))
+        # [g, c_{t-1}, tanh(c_t)]; c_{-1} is the zero state.
+        self.cells = np.zeros((timesteps, 3, batch, size))
+        # h_t for the forward, then ``1 - tanh(c_t)²``.
+        self.hidden = np.empty((timesteps, batch, size))
+        self.hidden_flat = np.empty((batch, timesteps, size))
+        self.generated = np.empty((batch, timesteps, generator.n_features))
+        self.d_generated = np.empty_like(self.generated)
+        self.d_hidden_seq = np.empty((batch, timesteps, size))
+        self.d_latent = np.empty((batch, timesteps, generator.latent_dim))
+        self.d_hidden = np.empty((batch, size))
+        self.d_cell = np.empty((batch, size))
+        self.dh = np.empty((batch, size))
+        self.dc = np.empty((batch, size))
+        self.d_gates = np.empty((4, batch, size))
+        self.one_minus = np.empty((4, batch, size))
+        # Per-step views, built once: the inversion is small-batch bound by
+        # per-call overhead, so the loops index nothing they can avoid.
+        hidden_prev = [np.zeros((batch, size)), *self.hidden[:-1]]
+        cell_next = [*self.cells[1:, 1], np.empty((batch, size))]
+        self.steps = [
+            (
+                self.projections[:, step, :],
+                gate_major(self.projections[:, step, :]),
+                hidden_prev[step],
+                self.gates[step],
+                self.cells[step],
+                cell_next[step],
+                self.hidden[step],
+                self.d_hidden_seq[:, step, :],
+            )
+            for step in range(timesteps)
+        ]
+
+    def grad(self, latent: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(generated, d mean((generated - target)²) / d latent)``.
+
+        Both returned arrays are workspace buffers, overwritten by the next
+        call.
+        """
+        batch, timesteps, latent_dim = latent.shape
+        size = self.hidden.shape[2]
+        weight_hidden = self.weight_hidden
+        bias = self.bias
+        hidden_weighted = self.hidden_weighted
+        hidden_weighted_by_gate = self.hidden_weighted_by_gate
+
+        # ---- forward ----
+        np.matmul(
+            latent.reshape(batch * timesteps, latent_dim),
+            self.weight_input,
+            out=self.projections.reshape(batch * timesteps, 4 * size),
+        )
+        for _, projection, hidden_prev, gates, cells, cell_state, hidden, _ in self.steps:
+            np.matmul(hidden_prev, weight_hidden, out=hidden_weighted)
+            np.add(projection, hidden_weighted_by_gate, out=gates)
+            gates += bias
+            g = np.tanh(gates[2], out=cells[0])
+            F.sigmoid_(gates)
+            np.multiply(gates[1], cells[1], out=cell_state)
+            cell_state += gates[0] * g
+            tanh_c = np.tanh(cell_state, out=cells[2])
+            np.multiply(gates[3], tanh_c, out=hidden)
+
+        hidden_flat = self.hidden_flat
+        np.copyto(hidden_flat, self.hidden.transpose(1, 0, 2))
+        generated = self.generated
+        flat_generated = generated.reshape(batch * timesteps, -1)
+        np.matmul(
+            hidden_flat.reshape(batch * timesteps, size), self.head_weight, out=flat_generated
+        )
+        flat_generated += self.head_bias
+
+        # The recurrence-independent derivative factors, for all steps at
+        # once, into storage the forward no longer needs: 1 - g² over the
+        # spent candidate slot, 1 - tanh(c)² over h.
+        candidate_factor = self.gates[:, 2]
+        np.square(self.cells[:, 0], out=candidate_factor)
+        np.subtract(1.0, candidate_factor, out=candidate_factor)
+        np.square(self.cells[:, 2], out=self.hidden)
+        np.subtract(1.0, self.hidden, out=self.hidden)
 
         # ---- backward, latent path only ----
-        residual = generated - target
+        d_generated = self.d_generated
+        np.subtract(generated, target, out=d_generated)
         # Seeded exactly as the autodiff `(r * r).mean()` backward: r/count
         # accumulated twice (doubling is exact in floating point).
-        d_generated = residual * (1.0 / residual.size)
-        d_generated = d_generated + d_generated
-        d_hidden_seq = (
-            d_generated.reshape(batch * timesteps, self.n_features) @ head_weight.T
-        ).reshape(batch, timesteps, size)
+        d_generated *= 1.0 / d_generated.size
+        d_generated += d_generated
+        np.matmul(
+            d_generated.reshape(batch * timesteps, -1),
+            self.head_weight.T,
+            out=self.d_hidden_seq.reshape(batch * timesteps, size),
+        )
 
-        d_hidden = np.zeros((batch, size))
-        d_cell = np.zeros((batch, size))
-        d_projections = np.empty_like(projections)
-        for step in range(timesteps - 1, -1, -1):
-            i = gate_i[:, step, :]
-            f = gate_f[:, step, :]
-            g = gate_g[:, step, :]
-            o = gate_o[:, step, :]
-            tanh_c = tanh_cells[:, step, :]
-            dh = d_hidden_seq[:, step, :] + d_hidden
-            d_output = dh * tanh_c
-            dc = d_cell + dh * o * (1.0 - tanh_c**2)
-            d_input = dc * g
-            d_forget = dc * prev_cells[:, step, :]
-            d_candidate = dc * i
-            d_cell = dc * f
-            d_gates = np.concatenate(
-                [
-                    d_input * i * (1.0 - i),
-                    d_forget * f * (1.0 - f),
-                    d_candidate * (1.0 - g**2),
-                    d_output * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            d_hidden = d_gates @ weight_hidden.T
-            d_projections[:, step, :] = d_gates
+        d_hidden = self.d_hidden
+        d_cell = self.d_cell
+        d_hidden.fill(0.0)
+        d_cell.fill(0.0)
+        dh = self.dh
+        dc = self.dc
+        d_gates = self.d_gates
+        one_minus = self.one_minus
+        for rows, rows_by_gate, _, gates, cells, _, tanh_factor, d_output in reversed(
+            self.steps
+        ):
+            np.add(d_output, d_hidden, out=dh)
+            # dc = d_cell + dh * o * (1 - tanh(c)²)
+            np.multiply(dh, gates[3], out=dc)
+            dc *= tanh_factor
+            dc += d_cell
+            np.multiply(dc, gates[1], out=d_cell)
+            # [dc·g, dc·c_{t-1}, dc·i, dh·tanh(c)] ⊙ [i, f, 1 - g², o]
+            # ⊙ [1 - i, 1 - f, ·, 1 - o]
+            np.multiply(dc, cells[0:2], out=d_gates[0:2])
+            np.multiply(dc, gates[0], out=d_gates[2])
+            np.multiply(dh, cells[2], out=d_gates[3])
+            d_gates *= gates
+            np.subtract(1.0, gates, out=one_minus)
+            d_gates[0:2] *= one_minus[0:2]
+            d_gates[3] *= one_minus[3]
+            np.copyto(rows_by_gate, d_gates)
+            np.matmul(rows, weight_hidden.T, out=d_hidden)
 
-        d_latent = (
-            d_projections.reshape(batch * timesteps, 4 * size) @ weight_input.T
-        ).reshape(latent.shape)
+        d_latent = self.d_latent
+        np.matmul(
+            self.projections.reshape(batch * timesteps, 4 * size),
+            self.weight_input.T,
+            out=d_latent.reshape(batch * timesteps, latent_dim),
+        )
         return generated, d_latent
 
 
@@ -305,7 +397,7 @@ class ColdBatchPlan:
     cold_initial: Optional[np.ndarray] = None
 
 
-class MADGANDetector(AnomalyDetector):
+class MADGANDetector(CalibratedDetector):
     """MAD-GAN anomaly detector with the DR anomaly score.
 
     Parameters
@@ -593,20 +685,28 @@ class MADGANDetector(AnomalyDetector):
         Returns ``(errors, latent)``: the per-window reconstruction error
         (max per-timestep MSE over the window, scaled feature units) and the
         optimized latent ``(n, sequence_length, latent_dim)`` — the carry-over
-        :meth:`scores_incremental` stores per stream.
+        :meth:`scores_incremental` stores per stream.  All ``steps`` share one
+        :class:`_InversionKernel` workspace, dropped on return.
         """
         self.inversion_calls += 1
         latent = Parameter(
             np.array(initial_latent, dtype=np.float64, copy=True), name="latent"
         )
         optimizer = Adam([latent], learning_rate=self.inversion_learning_rate)
+        kernel = _InversionKernel(self.generator, *latent.data.shape[:2])
         for _ in range(steps):
-            _, latent.grad = self.generator.inversion_grad(latent.data, scaled_windows)
+            _, latent.grad = kernel.grad(latent.data, scaled_windows)
             optimizer.step()
-            latent.data = np.clip(latent.data, -2.5, 2.5)
-        generated = self.generator.fast_forward(latent.data)
+            latent.data.clip(-2.5, 2.5, out=latent.data)
+        del kernel  # free the workspace before the final forward allocates
+        # The optimized latent outlives this call (streams carry it).  Copied
+        # only now, it is allocated after the workspace is freed rather than
+        # above it, where it would keep the freed space from being reused and
+        # grow peak RSS over a long replay.
+        optimized = latent.data.copy()
+        generated = self.generator.fast_forward(optimized)
         per_timestep = np.mean((generated - scaled_windows) ** 2, axis=2)
-        return per_timestep.max(axis=1), latent.data
+        return per_timestep.max(axis=1), optimized
 
     def _reconstruction_errors(
         self,
@@ -617,9 +717,10 @@ class MADGANDetector(AnomalyDetector):
         """Best-effort generator inversion: optimize latent sequences by gradient.
 
         With ``fast_path`` (defaulting to :attr:`use_fast_path`), every
-        optimization step runs :meth:`SequenceGenerator.inversion_grad` — a
-        graph-free forward plus a hand-written BPTT that computes gradients
-        *only for the latent*.  No autodiff nodes are allocated and no
+        optimization step runs the inversion kernel behind
+        :meth:`SequenceGenerator.inversion_grad` — a graph-free forward plus
+        a hand-written BPTT that computes gradients *only for the latent*.
+        No autodiff nodes are allocated and no
         parameter gradients are computed; the latent trajectory mirrors the
         graph path operation-for-operation, so the two paths agree within
         1e-8 (``tests/test_detectors.py`` pins this).
@@ -701,10 +802,6 @@ class MADGANDetector(AnomalyDetector):
         check_fitted(self, ("_scaler", "history_"))
         scaled = self._scale(np.asarray(windows, dtype=np.float64))
         return self._dr_scores(scaled)
-
-    def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Binary decisions for raw windows: 1 = anomalous (see :meth:`scores`)."""
-        return self.calibrator.predict(self.scores(windows))
 
     # ----------------------------------------------------------- incremental API
     def make_inversion_state(self) -> InversionState:

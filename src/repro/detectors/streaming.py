@@ -274,6 +274,9 @@ class StreamingDetector:
                 score=score,
                 degraded=self.watchdog_tripped(),
             )
-        flagged = bool(self.detector.predict(view)[0])
-        score = float(self.detector.scores(view)[0]) if self.include_scores else None
-        return StreamVerdict(tick=tick, warming=False, flagged=flagged, score=score)
+        if self.include_scores:
+            flags, scores = self.detector.predict_with_scores(view)
+            score = float(scores[0])
+        else:
+            flags, score = self.detector.predict(view), None
+        return StreamVerdict(tick=tick, warming=False, flagged=bool(flags[0]), score=score)

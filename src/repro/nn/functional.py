@@ -76,7 +76,7 @@ def sigmoid(values: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_(values: np.ndarray) -> np.ndarray:
-    """In-place :func:`sigmoid` (training-loop hot path).
+    """In-place :func:`sigmoid` (training and generator-inversion hot paths).
 
     Bitwise-identical to :func:`sigmoid` — same clipped formulation, same
     operation order — but every intermediate is written back into ``values``

@@ -110,14 +110,16 @@ class Adam(Optimizer):
             gradient = parameter.grad
             if self.weight_decay:
                 gradient = gradient + self.weight_decay * parameter.data
-            self._first_moment[index] = (
-                self.beta1 * self._first_moment[index] + (1.0 - self.beta1) * gradient
-            )
-            self._second_moment[index] = (
-                self.beta2 * self._second_moment[index] + (1.0 - self.beta2) * gradient**2
-            )
-            corrected_first = self._first_moment[index] / bias1
-            corrected_second = self._second_moment[index] / bias2
+            # Moments update in place, in the operation order of
+            # `beta * moment + (1 - beta) * update`.
+            first_moment = self._first_moment[index]
+            first_moment *= self.beta1
+            first_moment += (1.0 - self.beta1) * gradient
+            second_moment = self._second_moment[index]
+            second_moment *= self.beta2
+            second_moment += (1.0 - self.beta2) * gradient**2
+            corrected_first = first_moment / bias1
+            corrected_second = second_moment / bias2
             parameter.data = parameter.data - self.learning_rate * corrected_first / (
                 np.sqrt(corrected_second) + self.epsilon
             )

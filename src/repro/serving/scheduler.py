@@ -640,9 +640,10 @@ class StreamScheduler:
                     )
                     if not wants_scores:
                         scores = None
+                elif wants_scores:
+                    flags, scores = group["detector"].predict_with_scores(stacked_views)
                 else:
-                    flags = group["detector"].predict(stacked_views)
-                    scores = group["detector"].scores(stacked_views) if wants_scores else None
+                    flags, scores = group["detector"].predict(stacked_views), None
             except Exception as exc:
                 self._detector_failure(group["targets"], exc)
                 continue

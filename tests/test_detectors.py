@@ -1,9 +1,12 @@
 """Tests for the anomaly detectors (kNN, OneClassSVM, MAD-GAN, ensemble)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from tests.conftest import make_toy_windows
+from repro.nn import functional as F
 from repro.detectors import (
     KNNClassifierDetector,
     KNNDistanceDetector,
@@ -269,23 +272,266 @@ class TestMADGANFastPathRegression:
         np.testing.assert_array_equal(decisions(True), decisions(False))
 
     def test_inversion_grad_matches_autodiff(self, fitted):
-        from repro.nn import Parameter, Tensor
-
         windows, _ = make_toy_windows(n_benign=6, n_malicious=0, seed=44)
         scaled = fitted._scale(windows)
         latent_values = fitted._sample_latent(len(scaled)) * 0.1
+        assert_inversion_grad_matches_autodiff(fitted.generator, latent_values, scaled)
 
-        generated_fast, grad_fast = fitted.generator.inversion_grad(latent_values, scaled)
+    @pytest.mark.parametrize("timesteps", [1, 12])
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_inversion_grad_matches_autodiff_across_shapes(self, fitted, batch, timesteps):
+        # timesteps=1 exercises the single-step backward (no recurrence).
+        windows, _ = make_toy_windows(n_benign=batch, n_malicious=0, seed=44)
+        scaled = fitted._scale(windows)[:, :timesteps]
+        latent_values = fitted._sample_latent(batch)[:, :timesteps] * 0.1
+        assert_inversion_grad_matches_autodiff(fitted.generator, latent_values, scaled)
 
-        latent = Parameter(latent_values.copy(), name="latent")
-        fitted.generator.zero_grad()
-        generated = fitted.generator(latent)
-        residual = generated - Tensor(scaled)
-        (residual * residual).mean().backward()
+    def test_scoring_caches_no_workspace(self, fitted):
+        # The inversion workspace lives for one call: snapshots and the
+        # shipped model stay the size and hash of the fitted detector.
+        import pickle
 
-        np.testing.assert_allclose(generated_fast, generated.numpy(), atol=1e-10, rtol=0.0)
-        np.testing.assert_allclose(grad_fast, latent.grad, atol=1e-12, rtol=0.0)
-        fitted.generator.zero_grad()
+        windows, _ = make_toy_windows(n_benign=9, n_malicious=3, seed=45)
+        size_before = len(pickle.dumps(fitted))
+        hash_before = fitted.generator.state_hash()
+        fitted.scores(windows)
+        states = [fitted.make_inversion_state() for _ in range(len(windows))]
+        fitted.scores_incremental(windows, states)
+        fitted.scores_incremental(windows, states)
+        assert len(pickle.dumps(fitted)) == size_before
+        assert fitted.generator.state_hash() == hash_before
+
+    def test_inversion_grad_reads_current_weights(self, fitted):
+        windows, _ = make_toy_windows(n_benign=5, n_malicious=0, seed=46)
+        scaled = fitted._scale(windows)
+        latent = fitted._sample_latent(len(scaled)) * 0.1
+        weight = fitted.generator.lstm.cell.weight_hidden
+        original = weight.data
+        _, grad_before = fitted.generator.inversion_grad(latent, scaled)
+        grad_before = grad_before.copy()
+        try:
+            # Rebind `.data`, as fit does.
+            noise = np.random.default_rng(0).normal(size=original.shape)
+            weight.data = original + 0.05 * noise
+            _, grad_after = fitted.generator.inversion_grad(latent, scaled)
+            assert not np.array_equal(grad_after, grad_before)
+            assert_inversion_grad_matches_autodiff(fitted.generator, latent, scaled)
+        finally:
+            weight.data = original
+
+
+def assert_inversion_grad_matches_autodiff(generator, latent_values, target):
+    """``inversion_grad`` within 1e-10 (generated) / 1e-12 (gradient) of autodiff."""
+    from repro.nn import Parameter, Tensor
+
+    generated_fast, grad_fast = generator.inversion_grad(latent_values, target)
+
+    latent = Parameter(latent_values.copy(), name="latent")
+    generator.zero_grad()
+    generated = generator(latent)
+    residual = generated - Tensor(target)
+    (residual * residual).mean().backward()
+
+    np.testing.assert_allclose(generated_fast, generated.numpy(), atol=1e-10, rtol=0.0)
+    np.testing.assert_allclose(grad_fast, latent.grad, atol=1e-12, rtol=0.0)
+    generator.zero_grad()
+
+
+def reference_inversion_grad(generator, latent, target):
+    """Per-step reference for ``SequenceGenerator.inversion_grad``.
+
+    The straightforward form of the latent-only BPTT: batch-major arrays,
+    one gate slice per call, fresh arrays everywhere.  The kernel must match
+    it bit for bit, so every elementwise expression and every matmul here
+    keeps the operation order and operand layout the kernel promises.
+    """
+    cell = generator.lstm.cell
+    weight_input = cell.weight_input.data
+    weight_hidden = cell.weight_hidden.data
+    head_weight = generator.head.weight.data
+    batch, timesteps, latent_dim = latent.shape
+    size = generator.hidden_size
+    projections = (latent.reshape(batch * timesteps, latent_dim) @ weight_input).reshape(
+        batch, timesteps, 4 * size
+    )
+    hidden = np.zeros((batch, size))
+    cell_state = np.zeros((batch, size))
+    hidden_seq = np.empty((batch, timesteps, size))
+    saved = []
+    for step in range(timesteps):
+        gates = (projections[:, step, :] + hidden @ weight_hidden) + cell.bias.data
+        i = F.sigmoid(gates[:, 0:size])
+        f = F.sigmoid(gates[:, size : 2 * size])
+        g = np.tanh(gates[:, 2 * size : 3 * size])
+        o = F.sigmoid(gates[:, 3 * size :])
+        prev_cell = cell_state
+        cell_state = f * cell_state + i * g
+        tanh_c = np.tanh(cell_state)
+        hidden = o * tanh_c
+        hidden_seq[:, step, :] = hidden
+        saved.append((i, f, g, o, prev_cell, tanh_c))
+    generated = (
+        hidden_seq.reshape(batch * timesteps, size) @ head_weight + generator.head.bias.data
+    ).reshape(batch, timesteps, -1)
+
+    residual = generated - target
+    d_generated = residual * (1.0 / residual.size)
+    d_generated = d_generated + d_generated
+    d_hidden_seq = (
+        d_generated.reshape(batch * timesteps, -1) @ head_weight.T
+    ).reshape(batch, timesteps, size)
+    d_hidden = np.zeros((batch, size))
+    d_cell = np.zeros((batch, size))
+    d_projections = np.empty_like(projections)
+    for step in range(timesteps - 1, -1, -1):
+        i, f, g, o, prev_cell, tanh_c = saved[step]
+        dh = d_hidden_seq[:, step, :] + d_hidden
+        dc = d_cell + dh * o * (1.0 - tanh_c**2)
+        d_gates = np.concatenate(
+            [
+                dc * g * i * (1.0 - i),
+                dc * prev_cell * f * (1.0 - f),
+                dc * i * (1.0 - g**2),
+                dh * tanh_c * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        d_cell = dc * f
+        d_hidden = d_gates @ weight_hidden.T
+        d_projections[:, step, :] = d_gates
+    d_latent = (
+        d_projections.reshape(batch * timesteps, 4 * size) @ weight_input.T
+    ).reshape(latent.shape)
+    return generated, d_latent
+
+
+def _digest(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+class TestMADGANInversionGolden:
+    """Bitwise pin of the generator-inversion kernel.
+
+    The sha256 digests below were recorded from the previous inversion
+    implementation on x86-64 (numpy 2, OpenBLAS).  Every output that goes
+    through the kernel — one-shot gradients at three batch sizes, the
+    calibration done by ``fit``, cold scores, a warm/cold incremental stream
+    and its final carry-over states — must reproduce them bit for bit.  A
+    kernel change that alters one rounding anywhere fails here, even when it
+    would pass the 1e-12 autodiff tolerance.  A different BLAS build may
+    round the fixture's matmuls differently, so the digests are re-recorded
+    from an unchanged kernel on such a platform;
+    ``test_inversion_grad_matches_per_step_reference`` checks the same
+    bitwise contract on any platform.
+    """
+
+    GOLDEN = {
+        "calibration": (
+            "e6b3a0fe9cfaa6d1452ccebc129f00e1fee08b0e59a35d6e0a264f9ba1a73411"
+        ),
+        "grad_b1": (
+            "c4c82aca23f3d7586688c2ec2869d5d6e203986bcfc32f8a1b33121bad9d1c07"
+        ),
+        "grad_b21": (
+            "346ced7738469a75082fa6e850735f7e06a4c76575d5491dd535c7e624c21cd7"
+        ),
+        "grad_b192": (
+            "e3b117c5ae949b9cddb499c488417013d65b031810e0473d5f98d08281b586a9"
+        ),
+        "cold_scores": (
+            "ac96ed6d65311ef29502e244ac56c2075431b0ee11f15474970e97d09ca7bcaf"
+        ),
+        "stream_scores": (
+            "9000ce0303491181f7ff3ff3085c0079429a55c8010f62860e5160e8bd29dce3"
+        ),
+        "stream_states": (
+            "489be2b536188f6c39b1905dbfa63181eb4ebc961db3b69a3ee3c0db52c19faa"
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        windows, labels = make_toy_windows(n_benign=90, n_malicious=0, seed=3)
+        detector = MADGANDetector(
+            epochs=3,
+            hidden_size=10,
+            inversion_steps=20,
+            warm_inversion_steps=6,
+            cold_refresh_interval=8,
+            seed=0,
+        )
+        return detector.fit(windows[labels == 0])
+
+    def test_calibration_digest(self, fitted):
+        digest = _digest(
+            [fitted.calibrator.threshold_, fitted._benign_reconstruction_scale]
+        )
+        assert digest == self.GOLDEN["calibration"]
+
+    @pytest.mark.parametrize("timesteps", [1, 12])
+    @pytest.mark.parametrize("batch", [1, 21, 192])
+    def test_inversion_grad_matches_per_step_reference(self, fitted, batch, timesteps):
+        # The platform-independent twin of the digests: same bits as the
+        # per-step reference under whatever BLAS this host runs.
+        windows, _ = make_toy_windows(n_benign=150, n_malicious=42, seed=50)
+        scaled = fitted._scale(windows)[:batch, :timesteps]
+        latent = np.random.default_rng(batch).normal(size=(batch, timesteps, 4)) * 0.1
+        generated, grad = fitted.generator.inversion_grad(latent, scaled)
+        expected_generated, expected_grad = reference_inversion_grad(
+            fitted.generator, latent, scaled
+        )
+        assert generated.tobytes() == expected_generated.tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 21, 192])
+    def test_inversion_grad_digest(self, fitted, batch):
+        windows, _ = make_toy_windows(n_benign=150, n_malicious=42, seed=50)
+        scaled = fitted._scale(windows)[:batch]
+        latent = np.random.default_rng(batch).normal(size=(batch, 12, 4)) * 0.1
+        generated, grad = fitted.generator.inversion_grad(latent, scaled)
+        assert _digest(generated, grad) == self.GOLDEN[f"grad_b{batch}"]
+
+    def test_cold_scores_digest(self, fitted):
+        from repro.utils.rng import as_random_state
+
+        windows, _ = make_toy_windows(n_benign=20, n_malicious=12, seed=51)
+        fitted._rng = as_random_state(101)
+        assert _digest(fitted.scores(windows)) == self.GOLDEN["cold_scores"]
+
+    def test_incremental_stream_digest(self, fitted):
+        from repro.utils.rng import as_random_state
+
+        n_ticks = 20
+        traces = [make_toy_trace(n_ticks, seed=60 + index) for index in range(3)]
+        # A spoofed stretch on stream 0: the CGM ramps away, the warm residual
+        # regresses and the stream falls back to cold inversions.
+        traces[0][18:24, 0] += 40.0 * np.arange(1, 7)
+        fitted._rng = as_random_state(102)
+        states = [fitted.make_inversion_state() for _ in traces]
+        scores = []
+        for tick in range(n_ticks):
+            windows = np.stack(
+                [trace[tick : tick + fitted.sequence_length] for trace in traces]
+            )
+            scores.append(fitted.scores_incremental(windows, states))
+        assert states[0].fallbacks >= 2
+        assert _digest(np.stack(scores)) == self.GOLDEN["stream_scores"]
+        state_bits = _digest(
+            *[
+                np.concatenate(
+                    [
+                        state.latent.ravel(),
+                        [state.error, state.ticks, state.fallbacks],
+                        [state.consecutive_fallbacks],
+                    ]
+                )
+                for state in states
+            ]
+        )
+        assert state_bits == self.GOLDEN["stream_states"]
 
 
 def make_toy_trace(n_ticks: int, seed: int = 5, history: int = 12):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.data.cohort import CGM_COLUMN
-from repro.detectors import KNNDistanceDetector, StreamingDetector
+from repro.detectors import KNNDistanceDetector, MADGANDetector, StreamingDetector
 from repro.nn import BiLSTM, LSTM
 from repro.serving import (
     AttackEpisode,
@@ -382,6 +382,86 @@ class TestStreamingDetector:
             adapter.update(sample)
         adapter.reset()
         assert adapter.update(features[0]).warming
+
+
+class TestStatelessScoresMatchFlags:
+    """A stateless adapter scores each tick once and reports the score its
+    flag was thresholded from — also for a detector whose scoring draws from
+    its RNG (the reference-path MAD-GAN, which streams statelessly)."""
+
+    @pytest.fixture(scope="class")
+    def reference_madgan(self, tiny_zoo, tiny_cohort):
+        windows, _, _ = tiny_zoo.dataset.from_cohort(tiny_cohort, split="train")
+        detector = MADGANDetector(
+            epochs=1,
+            hidden_size=8,
+            inversion_steps=3,
+            max_samples=100,
+            use_fast_path=False,
+            seed=0,
+        )
+        return detector.fit(windows[::8])
+
+    @staticmethod
+    def count_latent_draws(detector, monkeypatch):
+        draws = []
+        original = detector._sample_latent
+
+        def counting(batch_size):
+            draws.append(batch_size)
+            return original(batch_size)
+
+        monkeypatch.setattr(detector, "_sample_latent", counting)
+        return draws
+
+    def assert_flags_follow_scores(self, detector, verdicts):
+        for verdict in verdicts:
+            expected = detector.calibrator.predict(np.array([verdict.score]))[0]
+            assert verdict.flagged == bool(expected)
+
+    def test_adapter_scores_once_per_tick(self, reference_madgan, tiny_cohort, monkeypatch):
+        adapter = StreamingDetector(
+            reference_madgan, unit="window", history=12, include_scores=True
+        )
+        assert not adapter.incremental
+        draws = self.count_latent_draws(reference_madgan, monkeypatch)
+        trace = next(iter(tiny_cohort)).features("test")[:18]
+        served = [
+            verdict for verdict in map(adapter.update, trace) if not verdict.warming
+        ]
+        assert len(served) == 7
+        assert draws == [1] * len(served)
+        self.assert_flags_follow_scores(reference_madgan, served)
+
+    def test_scheduler_scores_once_per_tick(
+        self, reference_madgan, aggregate_zoo, tiny_cohort, monkeypatch
+    ):
+        records = list(tiny_cohort)[:2]
+        scheduler = StreamScheduler()
+        for record in records:
+            scheduler.open_session(
+                record.label,
+                aggregate_zoo.model_for(record.label),
+                detectors={
+                    "madgan": StreamingDetector(
+                        reference_madgan, unit="window", history=12, include_scores=True
+                    )
+                },
+            )
+        draws = self.count_latent_draws(reference_madgan, monkeypatch)
+        traces = {record.label: record.features("test")[:16] for record in records}
+        verdicts = []
+        for tick in range(16):
+            outcomes = scheduler.tick({label: trace[tick] for label, trace in traces.items()})
+            verdicts.extend(
+                outcome.verdicts["madgan"]
+                for outcome in outcomes.values()
+                if not outcome.verdicts["madgan"].warming
+            )
+        assert len(verdicts) == 2 * 5
+        # One batched inversion per tick over the shared lane's two windows.
+        assert draws == [2] * 5
+        self.assert_flags_follow_scores(reference_madgan, verdicts)
 
 
 # --------------------------------------------------------- attacked-stream parity
