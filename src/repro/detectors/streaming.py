@@ -227,13 +227,23 @@ class StreamingDetector:
         sample = np.asarray(sample, dtype=np.float64)
         if sample.ndim != 1:
             raise ValueError(f"sample must be a 1-D feature vector, got shape {sample.shape}")
-        tick = self._ticks
-        self._ticks += 1
+        tick = self.advance()
         if self.unit == "sample":
             return tick, sample[np.newaxis, np.newaxis, :]
         self._ring.push(sample)
         window = self._ring.window()
         return tick, None if window is None else window[np.newaxis]
+
+    def advance(self) -> int:
+        """Count one consumed sample; return its tick.
+
+        The whole of :meth:`prepare` for a ``unit="sample"`` stream apart
+        from building the view: a scheduler that already holds the tick's
+        samples as one block scores the block's rows directly.
+        """
+        tick = self._ticks
+        self._ticks += 1
+        return tick
 
     def window(self) -> Optional[np.ndarray]:
         """The current ``(history, F)`` window in time order, or None if warming."""

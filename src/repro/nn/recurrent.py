@@ -570,34 +570,34 @@ class BiLSTM(Module):
         full_rows = rows[full_mask]
 
         # Gather each stream's ring in window order (oldest -> newest); after
-        # the write above, the oldest sample sits at the cursor position.
-        order = (
-            state.cursor[full_rows][:, None] + np.arange(state.capacity)[None, :]
-        ) % state.capacity
-        forward_windows = np.take_along_axis(
-            state.forward_proj[full_rows], order[:, :, None], axis=1
+        # the write above, the oldest sample sits at the cursor position.  One
+        # flat, time-major gather per direction: windows[t] is every stream's
+        # projection at window step t.
+        capacity = state.capacity
+        flat = (
+            full_rows * capacity
+            + (state.cursor[full_rows][None, :] + np.arange(capacity)[:, None]) % capacity
         )
-        backward_windows = np.take_along_axis(
-            state.backward_proj[full_rows], order[:, :, None], axis=1
-        )
+        forward_windows = state.forward_proj.reshape(-1, 4 * size)[flat]
+        backward_windows = state.backward_proj.reshape(-1, 4 * size)[flat]
 
         n_full = len(full_rows)
         gates = np.empty((n_full, 4 * size))
         hidden = np.zeros((n_full, size))
         cell_state = np.zeros((n_full, size))
         forward_cell = self.forward_layer.cell
-        for step_index in range(state.capacity):
+        for step_index in range(capacity):
             hidden, cell_state = forward_cell.fast_step(
-                forward_windows[:, step_index], hidden, cell_state, gates
+                forward_windows[step_index], hidden, cell_state, gates
             )
         forward_hidden = hidden
 
         hidden = np.zeros((n_full, size))
         cell_state = np.zeros((n_full, size))
         backward_cell = self.backward_layer.cell
-        for step_index in range(state.capacity - 1, -1, -1):
+        for step_index in range(capacity - 1, -1, -1):
             hidden, cell_state = backward_cell.fast_step(
-                backward_windows[:, step_index], hidden, cell_state, gates
+                backward_windows[step_index], hidden, cell_state, gates
             )
         outputs[full_mask] = np.concatenate([forward_hidden, hidden], axis=1)
         return outputs

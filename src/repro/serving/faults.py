@@ -166,11 +166,11 @@ class DeviceFaultPlan:
     """One device's fully materialized fault schedule over its trace.
 
     Built once per (device, trace length) by :meth:`FaultInjector.plan_for`;
-    the replayer then calls :meth:`apply` per delivered position and
-    :meth:`delay_at` when scheduling delivery times.  All randomness is
-    spent at build time — applying the plan is deterministic and depends
-    only on the position, which is what makes fault injection commute with
-    device clocks and session churn.
+    the replayer materializes the device's faulted trace once
+    (:meth:`materialize`) and calls :meth:`delay_at` when scheduling
+    delivery times.  All randomness is spent at build time — applying the
+    plan is deterministic and depends only on the position, which is what
+    makes fault injection commute with device clocks and session churn.
     """
 
     label: str
@@ -249,6 +249,39 @@ class DeviceFaultPlan:
         corrupted[CGM_COLUMN] = cgm
         held = cgm if np.isfinite(cgm) else held_cgm
         return corrupted, kinds, held
+
+    def materialize(self, features: np.ndarray) -> Tuple[np.ndarray, List[Tuple[str, ...]]]:
+        """The device's whole transmitted trace and its per-position fault kinds.
+
+        Runs :meth:`apply` in position order over the fault-covered
+        positions, carrying the stuck-at hold value exactly as the live
+        device does (the hold after an uncovered position is its true CGM),
+        and copies every other row as it is.  Returns ``(faulted, kinds)``:
+        the ``(n, n_features)`` trace and, per position, the tuple of active
+        :class:`FaultKind` values (empty where no fault covers it).  A plan
+        without events returns ``features`` itself.
+        """
+        kinds: List[Tuple[str, ...]] = [()] * len(features)
+        if not self.events:
+            return features, kinds
+        faulted = np.array(features, dtype=np.float64, copy=True)
+        covered = sorted(
+            {
+                position
+                for event in self.events
+                for position in range(event.start, min(event.end, len(features)))
+            }
+        )
+        held: Optional[float] = None
+        previous = -1
+        for position in covered:
+            if position > previous + 1:
+                held = float(features[position - 1, CGM_COLUMN])
+            row, active, held = self.apply(position, features[position], held)
+            faulted[position] = row
+            kinds[position] = tuple(kind.value for kind in active)
+            previous = position
+        return faulted, kinds
 
 
 class FaultInjector:

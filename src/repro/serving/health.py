@@ -85,6 +85,17 @@ class IngressConfig:
         if not low < high:
             raise ValueError("glucose_range must satisfy low < high")
 
+    def passes(self, samples: np.ndarray) -> np.ndarray:
+        """Row mask over an ``(n, n_features)`` block: True for a valid sample.
+
+        A valid row is one :meth:`validate` delivers untouched.  The
+        scheduler evaluates it once over a whole tick and calls
+        :meth:`validate` only on the rows it rejects.
+        """
+        low, high = self.glucose_range
+        cgm = samples[:, CGM_COLUMN]
+        return np.isfinite(samples).all(axis=1) & (cgm >= low) & (cgm <= high)
+
     def validate(
         self, sample: np.ndarray, last_good: Optional[np.ndarray]
     ) -> Tuple[Optional[np.ndarray], Optional[str]]:
@@ -94,15 +105,12 @@ class IngressConfig:
         ``"clamped"`` / ``"held"`` with a repaired sample, or ``(None,
         "rejected")`` when the tick must be dropped.
         """
-        finite = bool(np.all(np.isfinite(sample)))
-        low, high = self.glucose_range
-        cgm = sample[CGM_COLUMN]
-        in_range = bool(low <= cgm <= high) if finite else False
-        if finite and in_range:
+        if self.passes(np.asarray(sample, dtype=np.float64)[np.newaxis])[0]:
             return sample, None
-        if self.policy == IngressPolicy.CLAMP and finite:
+        if self.policy == IngressPolicy.CLAMP and np.all(np.isfinite(sample)):
+            low, high = self.glucose_range
             repaired = np.array(sample, dtype=np.float64, copy=True)
-            repaired[CGM_COLUMN] = float(np.clip(cgm, low, high))
+            repaired[CGM_COLUMN] = float(np.clip(sample[CGM_COLUMN], low, high))
             return repaired, "clamped"
         if self.policy in (IngressPolicy.CLAMP, IngressPolicy.HOLD_LAST):
             if last_good is not None:

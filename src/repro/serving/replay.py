@@ -370,6 +370,18 @@ class ReplayReport:
         }
 
 
+def _tampered(benign: Mapping[str, np.ndarray], delivered: Mapping[str, np.ndarray]) -> List[bool]:
+    """Per delivery, in ``benign`` order: does the delivered row differ from the benign one?
+
+    One comparison over the tick's stacked rows.  NaN equals NaN, so a
+    malformed (NaN) benign fault delivered untouched is not tampering.
+    """
+    sent = np.array(list(benign.values()), dtype=np.float64)
+    got = np.array([delivered[session_id] for session_id in benign], dtype=np.float64)
+    differs = (sent != got) & ~(np.isnan(sent) & np.isnan(got))
+    return differs.any(axis=1).tolist()
+
+
 class StreamReplayer:
     """Drive live sessions from simulated patient traces.
 
@@ -507,6 +519,18 @@ class StreamReplayer:
                     features = features[:max_ticks]
                 if len(features) == 0:
                     continue
+                plan = (
+                    injector.plan_for(record.label, len(features))
+                    if injector is not None
+                    else None
+                )
+                # Benign sensor faults: the device's transmitted (post-fault)
+                # trace and per-position fault kinds, materialized once.
+                # Faults depend only on the position, so churn segments and
+                # delivery delays index the same rows.
+                transmitted, kinds = (
+                    plan.materialize(features) if plan is not None else (features, None)
+                )
                 traces.append(
                     {
                         "label": record.label,
@@ -522,16 +546,9 @@ class StreamReplayer:
                         ),
                         "next_time": 0.0,
                         "period": 1.0,
-                        # Benign sensor faults: the device's materialized
-                        # plan and its last transmitted (post-fault) CGM —
-                        # the stuck-at hold value, persisted across churn
-                        # segments (the *device* is stuck, not the session).
-                        "fault_plan": (
-                            injector.plan_for(record.label, len(features))
-                            if injector is not None
-                            else None
-                        ),
-                        "held_cgm": None,
+                        "fault_plan": plan,
+                        "transmitted": transmitted,
+                        "fault_kinds": kinds,
                         "fault_delayed": None,
                     }
                 )
@@ -682,25 +699,16 @@ class StreamReplayer:
                 # truth for attack accounting — the attacker sits downstream
                 # on the CGM→pump link and tampers the (faulty) transmission.
                 benign = {}
-                fault_kinds = {}
+                fault_counts: Dict[str, int] = {}
                 for trace in delivering:
-                    session_id = trace["session"].session_id
-                    sample = trace["features"][trace["position"]]
-                    plan = trace["fault_plan"]
-                    if plan is not None:
-                        sample, kinds, trace["held_cgm"] = plan.apply(
-                            trace["position"], sample, trace["held_cgm"]
-                        )
-                        if kinds:
-                            fault_kinds[session_id] = tuple(
-                                kind.value for kind in kinds
-                            )
-                            if self.obs is not None:
-                                for kind in kinds:
-                                    self.obs.registry.inc(
-                                        "replay.faults_applied_total", kind=kind.value
-                                    )
-                    benign[session_id] = sample
+                    position = trace["position"]
+                    benign[trace["session"].session_id] = trace["transmitted"][position]
+                    if trace["fault_kinds"] is not None:
+                        for kind in trace["fault_kinds"][position]:
+                            fault_counts[kind] = fault_counts.get(kind, 0) + 1
+                if self.obs is not None:
+                    for kind, count in fault_counts.items():
+                        self.obs.registry.inc("replay.faults_applied_total", count, kind=kind)
                 if self.attacker is not None:
                     delivered = self.attacker.intercept(
                         [
@@ -712,31 +720,22 @@ class StreamReplayer:
                             for trace in delivering
                         ]
                     )
-                else:
-                    delivered = benign
-                outcomes = scheduler.tick(delivered, now=global_tick)
-                for trace in delivering:
-                    session_id = trace["session"].session_id
-                    position = trace["position"]
-                    outcome = outcomes[session_id]
-                    outcome.fault = fault_kinds.get(session_id, ())
-                    # Attacked = the attacker changed the transmission; an
+                    # Attacked = the attacker changed the transmission.  An
                     # ingress-repaired (clamped/held) or dropped tick is
                     # judged on what *arrived* at the gateway, not on what
                     # the gateway then made of it.
-                    # equal_nan: a malformed (NaN) benign fault delivered
-                    # untouched must not read as tampering.
-                    benign_sample = np.asarray(benign[session_id], dtype=np.float64)
-                    if outcome.ingress is None and not outcome.dropped:
-                        outcome.attacked = not np.array_equal(
-                            outcome.sample, benign_sample, equal_nan=True
-                        )
-                    else:
-                        outcome.attacked = not np.array_equal(
-                            np.asarray(delivered[session_id], dtype=np.float64),
-                            benign_sample,
-                            equal_nan=True,
-                        )
+                    attacked = _tampered(benign, delivered)
+                else:
+                    delivered = benign
+                    attacked = [False] * len(delivering)
+                outcomes = scheduler.tick(delivered, now=global_tick)
+                for trace, tampered in zip(delivering, attacked):
+                    session_id = trace["session"].session_id
+                    position = trace["position"]
+                    outcome = outcomes[session_id]
+                    kinds = trace["fault_kinds"]
+                    outcome.fault = kinds[position] if kinds is not None else ()
+                    outcome.attacked = tampered
                     session_trace = report.sessions[session_id]
                     session_trace.ticks.append(outcome)
                     session_trace.delivered_at.append(global_tick)

@@ -100,6 +100,27 @@ class _Lane:
         return len(self.sessions)
 
 
+class _LaneTick:
+    """One lane's share of a tick: its deliveries as one ``(k, n_features)`` block.
+
+    ``positions`` are the deliveries' indices in the tick mapping.  Admission
+    fills ``refused`` (rows dropped by quarantine or ingress), ``tags`` (the
+    ingress tag of each repaired row) and ``served`` (the remaining rows, in
+    delivery order).
+    """
+
+    __slots__ = ("lane_key", "positions", "sessions", "block", "refused", "tags", "served")
+
+    def __init__(self, lane_key: str):
+        self.lane_key = lane_key
+        self.positions: List[int] = []
+        self.sessions: List[PatientSession] = []
+        self.block: Optional[np.ndarray] = None
+        self.refused: set = set()
+        self.tags: Dict[int, str] = {}
+        self.served: List[int] = []
+
+
 class StreamScheduler:
     """Coalesce concurrent patient streams into per-model batched ticks.
 
@@ -313,18 +334,33 @@ class StreamScheduler:
             error=error,
         )
 
-    def _admit(
-        self, samples: Mapping[str, np.ndarray]
-    ) -> Tuple[List[Tuple[PatientSession, np.ndarray, Optional[str]]], Dict[str, SessionTick]]:
-        """Validate/gate one tick's deliveries before any state is touched.
+    def _gather(self, samples: Mapping[str, np.ndarray]) -> List[_LaneTick]:
+        """One tick's deliveries as per-lane ``(k, n_features)`` blocks.
 
-        Returns the admitted ``(session, sample, ingress_tag)`` triples (in
-        delivery order) plus the dropped :class:`SessionTick` outcomes for
-        quarantined or rejected deliveries.  With neither health nor ingress
-        configured this is exactly the old per-delivery shape validation.
+        Every session id and every sample shape is checked here, before any
+        session state is touched, so a tick that raises leaves the scheduler
+        exactly as it was.  Lanes come in order of first delivery.
         """
-        admitted: List[Tuple[PatientSession, np.ndarray, Optional[str]]] = []
-        dropped: Dict[str, SessionTick] = {}
+        try:
+            sessions = [self._sessions[str(session_id)] for session_id in samples]
+            values = list(samples.values())
+            per_lane: Dict[str, _LaneTick] = {}
+            for position, session in enumerate(sessions):
+                lane_tick = per_lane.get(session._lane_key)
+                if lane_tick is None:
+                    lane_tick = per_lane[session._lane_key] = _LaneTick(session._lane_key)
+                lane_tick.positions.append(position)
+                lane_tick.sessions.append(session)
+            for lane_tick in per_lane.values():
+                block = np.array([values[i] for i in lane_tick.positions], dtype=np.float64)
+                n_features = self._lanes[lane_tick.lane_key].predictor.n_features
+                if block.shape != (len(lane_tick.positions), n_features):
+                    raise ValueError("ragged tick")
+                lane_tick.block = block
+            return list(per_lane.values())
+        except (KeyError, TypeError, ValueError):
+            pass
+        # Name the first offending delivery, in delivery order.
         for session_id, sample in samples.items():
             session = self._sessions[str(session_id)]
             sample = np.asarray(sample, dtype=np.float64)
@@ -333,48 +369,79 @@ class StreamScheduler:
                     f"sample for session {session_id!r} must have shape "
                     f"({session.predictor.n_features},), got {sample.shape}"
                 )
+        raise ValueError("the tick's samples do not stack into per-lane blocks")
+
+    def _admit(self, lane_ticks: List[_LaneTick], results: Dict[str, SessionTick]) -> int:
+        """Gate one tick's deliveries; returns how many were admitted.
+
+        One finite/in-range mask per lane block (:meth:`IngressConfig.passes`)
+        plus the health-blocked sessions select the exceptional rows; only
+        those run the per-delivery logic, in delivery order: quarantine
+        backoff, :meth:`IngressConfig.validate`, repairs written back into
+        the block.  Refused deliveries land in ``results`` as dropped
+        outcomes and leave their lane's ``served`` rows.
+        """
+        exceptional: List[Tuple[int, _LaneTick, int]] = []
+        for lane_tick in lane_ticks:
+            bad = np.zeros(len(lane_tick.sessions), dtype=bool)
+            if self.ingress is not None:
+                bad = ~self.ingress.passes(lane_tick.block)
+            if self.health is not None:
+                bad |= [session.health.blocked for session in lane_tick.sessions]
+            for row in np.flatnonzero(bad).tolist():
+                exceptional.append((lane_tick.positions[row], lane_tick, row))
+        exceptional.sort(key=lambda entry: entry[0])
+        for _, lane_tick, row in exceptional:
+            session = lane_tick.sessions[row]
+            sample = lane_tick.block[row]
             health = session.health
             if health is not None and health.blocked:
                 if not health.admit(session.ticks, delivered_at=self._now):
-                    dropped[session.session_id] = self._dropped_tick(
+                    lane_tick.refused.add(row)
+                    results[session.session_id] = self._dropped_tick(
                         session, sample, ingress="quarantined"
                     )
                     continue
                 # Re-admitted on probation: this very delivery is served.
-            tag: Optional[str] = None
-            if self.ingress is not None:
-                delivered, tag = self.ingress.validate(sample, session.last_sample)
-                if delivered is None:
-                    outcome = self._dropped_tick(session, sample, ingress="rejected")
-                    dropped[session.session_id] = outcome
-                    if health is not None:
-                        health.record_error(
-                            outcome.tick, "ingress: rejected sample", delivered_at=self._now
-                        )
-                        if health.blocked:
-                            self._quarantine_session(session)
-                    continue
-                if tag is not None:
-                    sample = delivered
-                    if self.obs is not None:
-                        self.obs.registry.inc(
-                            "serving.ingress_repaired_total",
-                            lane=session._lane_key,
-                            tag=tag,
-                        )
-                    if health is not None:
-                        health.record_error(
-                            session.ticks, f"ingress: {tag} sample", delivered_at=self._now
-                        )
-                        if health.blocked:
-                            outcome = self._dropped_tick(
-                                session, sample, ingress="quarantined"
-                            )
-                            dropped[session.session_id] = outcome
-                            self._quarantine_session(session)
-                            continue
-            admitted.append((session, sample, tag))
-        return admitted, dropped
+            if self.ingress is None:
+                continue
+            delivered, tag = self.ingress.validate(sample, session.last_sample)
+            if tag is None:
+                continue
+            if delivered is None:
+                lane_tick.refused.add(row)
+                outcome = self._dropped_tick(session, sample, ingress="rejected")
+                results[session.session_id] = outcome
+                if health is not None:
+                    health.record_error(
+                        outcome.tick, "ingress: rejected sample", delivered_at=self._now
+                    )
+                    if health.blocked:
+                        self._quarantine_session(session)
+                continue
+            sample[:] = delivered
+            lane_tick.tags[row] = tag
+            if self.obs is not None:
+                self.obs.registry.inc(
+                    "serving.ingress_repaired_total", lane=session._lane_key, tag=tag
+                )
+            if health is not None:
+                health.record_error(
+                    session.ticks, f"ingress: {tag} sample", delivered_at=self._now
+                )
+                if health.blocked:
+                    lane_tick.refused.add(row)
+                    results[session.session_id] = self._dropped_tick(
+                        session, sample, ingress="quarantined"
+                    )
+                    self._quarantine_session(session)
+        admitted = 0
+        for lane_tick in lane_ticks:
+            lane_tick.served = [
+                row for row in range(len(lane_tick.sessions)) if row not in lane_tick.refused
+            ]
+            admitted += len(lane_tick.served)
+        return admitted
 
     def _health_after_step(self, session: PatientSession, outcome: SessionTick) -> None:
         """Post-step bookkeeping: non-finite predictions are errors."""
@@ -382,7 +449,7 @@ class StreamScheduler:
         # once the session's window ring is full a non-finite prediction
         # means the recurrent state is poisoned (e.g. a NaN slipped in
         # before ingress validation was enabled).
-        non_finite = outcome.prediction is None and session.window() is not None
+        non_finite = outcome.prediction is None and session.window_full
         if non_finite and self.obs is not None:
             self.obs.registry.inc(
                 "serving.nonfinite_predictions_total", lane=session._lane_key
@@ -472,14 +539,20 @@ class StreamScheduler:
         ``dropped`` (quarantined session, rejected sample) — those ticks ran
         no model step and carry no verdicts.
 
-        All model work is one ``step_stream`` call per lane; all detector
-        work is one ``predict`` call per distinct underlying detector object
-        *per lane* (MAD-GAN's incremental adapters instead share one
-        ``predict_incremental`` call, which also advances their per-stream
-        inversion states exactly once).  Batches never cross lanes: BLAS rounding is
-        batch-shape dependent, so lane-scoped batching keeps every session's
-        outputs bitwise independent of which other lanes share its
-        detectors — the invariant the sharded fabric's parity gate pins.  A
+        The deliveries travel as one ``(k, n_features)`` block per lane:
+        every id and shape is checked before any state is touched (a tick
+        that raises changes nothing), ingress evaluates one mask per block,
+        and all model work is one ``step_stream`` call per lane.  All
+        detector work is one ``predict`` call per distinct underlying
+        detector object *per lane* (MAD-GAN's incremental adapters instead
+        share one ``predict_incremental`` call, which also advances their
+        per-stream inversion states exactly once); sample-unit detectors
+        score the lane block itself.  Batches never cross lanes: BLAS
+        rounding is batch-shape dependent, so lane-scoped batching keeps
+        every session's outputs bitwise independent of which other lanes
+        share its detectors — the invariant the sharded fabric's parity
+        gate pins.  Per-session Python is left to the edge: one loop builds
+        the :class:`SessionTick` objects and one the verdicts.  A
         single-session tick takes the slim fast path instead — see
         ``use_single_fast_path``.
         """
@@ -487,114 +560,173 @@ class StreamScheduler:
         self._now = now
         tick_started = perf_counter() if obs is not None else 0.0
         events_mark = len(obs.events) if obs is not None else 0
-        admitted, results = self._admit(samples)
+        lane_ticks = self._gather(samples)
+        results: Dict[str, SessionTick] = {}
+        admitted = self._admit(lane_ticks, results)
         if obs is not None:
             obs.emit_span(
                 "ingress",
                 tick_started,
                 tick=now,
                 delivered=len(samples),
-                admitted=len(admitted),
+                admitted=admitted,
                 dropped=len(results),
             )
         if not admitted:
             if obs is not None:
                 self._finish_tick_obs(tick_started, events_mark, results)
             return results
-        if self.use_single_fast_path and len(admitted) == 1:
-            session, sample, tag = admitted[0]
-            results.update(self._tick_single(session, sample, tag))
+        gather_started = perf_counter() if obs is not None else 0.0
+        # Lanes step in order of their first admitted delivery, the order a
+        # per-delivery loop reaches them: detector RNG draws, health events
+        # and spans follow it.
+        served = sorted(
+            (lane_tick for lane_tick in lane_ticks if lane_tick.served),
+            key=lambda lane_tick: lane_tick.positions[lane_tick.served[0]],
+        )
+        if self.use_single_fast_path and admitted == 1:
+            lane_tick = served[0]
+            row = lane_tick.served[0]
+            results.update(
+                self._tick_single(
+                    lane_tick.sessions[row], lane_tick.block[row], lane_tick.tags.get(row)
+                )
+            )
             if obs is not None:
                 self._finish_tick_obs(tick_started, events_mark, results)
             return results
-        gather_started = perf_counter() if obs is not None else 0.0
-        per_lane: Dict[str, List[Tuple[PatientSession, np.ndarray, Optional[str]]]] = {}
-        for session, sample, tag in admitted:
-            per_lane.setdefault(session._lane_key, []).append((session, sample, tag))
         if obs is not None:
-            obs.emit_span("lane_gather", gather_started, tick=now, lanes=len(per_lane))
+            obs.emit_span("lane_gather", gather_started, tick=now, lanes=len(served))
 
-        # (detector object id, view shape) -> stacked views + where they go
+        # (lane, detector object id, view shape, incremental) -> one batch
         pending_views: Dict[tuple, dict] = {}
+        for lane_tick in served:
+            self._step_lane(lane_tick, results, pending_views)
+        self._score_groups(pending_views)
+        if obs is not None:
+            self._finish_tick_obs(tick_started, events_mark, results)
+        return results
 
-        for lane_key, items in per_lane.items():
-            lane = self._lanes[lane_key]
-            lane_sessions = [session for session, _, _ in items]
-            stacked = np.stack([sample for _, sample, _ in items])
-            rows = np.array([session._slot for session in lane_sessions])
-            lane_started = perf_counter() if obs is not None else 0.0
-            try:
-                predictions = lane.predictor.step_stream(stacked, lane.state, rows=rows)
-            except Exception as exc:
-                self._lane_failure(lane_sessions, stacked, exc, results)
-                continue
+    def _step_lane(
+        self, lane_tick: _LaneTick, results: Dict[str, SessionTick], pending_views: Dict[tuple, dict]
+    ) -> None:
+        """One lane's stacked model step, its outcomes and its detector queries."""
+        obs = self.obs
+        lane_key = lane_tick.lane_key
+        lane = self._lanes[lane_key]
+        rows = lane_tick.served
+        if len(rows) == len(lane_tick.sessions):
+            lane_sessions, stacked = lane_tick.sessions, lane_tick.block
+        else:
+            lane_sessions = [lane_tick.sessions[row] for row in rows]
+            stacked = lane_tick.block[rows]
+        slots = np.array([session._slot for session in lane_sessions])
+        lane_started = perf_counter() if obs is not None else 0.0
+        try:
+            predictions = lane.predictor.step_stream(stacked, lane.state, rows=slots)
+        except Exception as exc:
+            self._lane_failure(lane_sessions, stacked, exc, results)
+            return
+        tags = lane_tick.tags
+        # The outcomes own a copy of the served rows; the sessions' hold-last
+        # samples and the sample-unit detector batches read the block itself.
+        kept = stacked.copy()
+        n_features = stacked.shape[1]
+        warming: Dict[str, int] = {}
+        for index, (session, sample, prediction) in enumerate(
+            zip(lane_sessions, stacked, predictions.tolist())
+        ):
+            tick_index = session.ticks
+            session.ticks = tick_index + 1
+            session._push_raw(sample)
+            if prediction != prediction:  # NaN: warming up (or poisoned)
+                prediction = None
+            else:
+                session.last_prediction = prediction
+            outcome = SessionTick(
+                session.session_id,
+                tick_index,
+                kept[index],
+                prediction,
+                ingress=tags.get(rows[index]) if tags else None,
+            )
+            results[session.session_id] = outcome
+            self._health_after_step(session, outcome)
 
-            for (session, _, tag), sample, prediction in zip(items, stacked, predictions):
-                tick_index = session.ticks
-                session.ticks += 1
-                session._push_raw(sample)
-                value = None if np.isnan(prediction) else float(prediction)
-                session.last_prediction = value if value is not None else session.last_prediction
-                outcome = SessionTick(
-                    session_id=session.session_id,
-                    tick=tick_index,
-                    sample=sample.copy(),
-                    prediction=value,
-                    ingress=tag,
-                )
-                results[session.session_id] = outcome
-                if obs is not None:
-                    obs.registry.inc("serving.ticks_served_total", lane=lane_key)
-                self._health_after_step(session, outcome)
-
-                for name, adapter in session.detectors.items():
+            for name, adapter in session.detectors.items():
+                if adapter.unit == "sample":
+                    detector_tick, part = adapter.advance(), index
+                    shape = (1, n_features)
+                else:
                     detector_tick, view = adapter.prepare(sample)
                     if view is None:
-                        outcome.verdicts[name] = StreamVerdict(tick=detector_tick, warming=True)
-                        if obs is not None:
-                            obs.registry.inc("serving.detector_warming_total", detector=name)
+                        outcome.verdicts[name] = StreamVerdict(detector_tick, True)
+                        warming[name] = warming.get(name, 0) + 1
                         continue
-                    # Batches are scoped to the lane: one query per distinct
-                    # detector per lane, NOT per detector fleet-wide.  BLAS
-                    # rounds per batch shape, so cross-lane batching would
-                    # make a session's scores depend on which *other* lanes
-                    # happen to share its detector (a composition dependence
-                    # the sharded fabric's bitwise parity gate would reject —
-                    # lanes are the atomic placement unit).
-                    group_key = (
-                        lane_key,
-                        id(adapter.detector),
-                        view.shape[1:],
-                        adapter.incremental,
-                    )
-                    group = pending_views.setdefault(
-                        group_key,
-                        {
-                            "detector": adapter.detector,
-                            "incremental": adapter.incremental,
-                            "views": [],
-                            "targets": [],
-                        },
-                    )
-                    group["views"].append(view)
-                    group["targets"].append((outcome, name, adapter, detector_tick, session))
-            if obs is not None:
-                obs.registry.observe("serving.lane_step_batch", len(items), lane=lane_key)
-                obs.emit_span(
-                    "lane_step",
-                    lane_started,
-                    tick=now,
-                    lane=lane_key,
-                    sessions=tuple(session.session_id for session in lane_sessions),
-                    batch=len(items),
-                )
+                    part, shape = view, view.shape[1:]
+                # Batches are scoped to the lane: one query per distinct
+                # detector per lane, NOT per detector fleet-wide.  BLAS
+                # rounds per batch shape, so cross-lane batching would make a
+                # session's scores depend on which *other* lanes happen to
+                # share its detector (a composition dependence the sharded
+                # fabric's bitwise parity gate would reject — lanes are the
+                # atomic placement unit).
+                group_key = (lane_key, id(adapter.detector), shape, adapter.incremental)
+                group = pending_views.get(group_key)
+                if group is None:
+                    group = pending_views[group_key] = {
+                        "detector": adapter.detector,
+                        "incremental": adapter.incremental,
+                        "block": stacked,
+                        "parts": [],
+                        "targets": [],
+                    }
+                group["parts"].append(part)
+                group["targets"].append((outcome, name, adapter, detector_tick, session))
+        if obs is not None:
+            obs.registry.inc("serving.ticks_served_total", len(rows), lane=lane_key)
+            for name, count in warming.items():
+                obs.registry.inc("serving.detector_warming_total", count, detector=name)
+            obs.registry.observe("serving.lane_step_batch", len(rows), lane=lane_key)
+            obs.emit_span(
+                "lane_step",
+                lane_started,
+                tick=self._now,
+                lane=lane_key,
+                sessions=tuple(session.session_id for session in lane_sessions),
+                batch=len(rows),
+            )
 
-        # One batched query per lane per distinct detector object and view
-        # shape; incremental adapters additionally thread their per-stream
-        # states through the detector's batched incremental call.  When one
-        # *phased* incremental detector (MAD-GAN) backs several groups this
-        # tick, its groups run warm phases eagerly here but pool their owed
-        # cold inversions for one merged batch below (coalesce_cold_batches).
+    @staticmethod
+    def _group_views(group: dict) -> np.ndarray:
+        """Stack one detector group's views.
+
+        Sample-unit parts are rows of the lane block, so a group holding
+        every row in order scores the block reshaped to ``(k, 1, F)``.
+        """
+        parts, block = group["parts"], group["block"]
+        if all(type(part) is int for part in parts):
+            if parts == list(range(len(block))):
+                return block[:, np.newaxis, :]
+            return block[parts][:, np.newaxis, :]
+        return np.concatenate(
+            [
+                block[part][np.newaxis, np.newaxis, :] if type(part) is int else part
+                for part in parts
+            ]
+        )
+
+    def _score_groups(self, pending_views: Dict[tuple, dict]) -> None:
+        """One batched query per lane per distinct detector object and view shape.
+
+        Incremental adapters additionally thread their per-stream states
+        through the detector's batched incremental call.  When one *phased*
+        incremental detector (MAD-GAN) backs several groups this tick, its
+        groups run warm phases eagerly here but pool their owed cold
+        inversions for one merged batch below (coalesce_cold_batches).
+        """
+        obs = self.obs
+        now = self._now
         coalescible: set = set()
         if self.coalesce_cold_batches:
             phased_counts: Dict[int, int] = {}
@@ -622,7 +754,7 @@ class StreamScheduler:
                 obs.registry.observe(
                     "serving.detector_batch", len(group["targets"]), lane=group_key[0]
                 )
-            stacked_views = np.concatenate(group["views"])
+            stacked_views = self._group_views(group)
             wants_scores = any(adapter.include_scores for _, _, adapter, _, _ in group["targets"])
             try:
                 if group["incremental"]:
@@ -690,9 +822,6 @@ class StreamScheduler:
                 self._apply_group_verdicts(
                     group_key, group, flags, scores, group_started, now
                 )
-        if obs is not None:
-            self._finish_tick_obs(tick_started, events_mark, results)
-        return results
 
     def _apply_group_verdicts(
         self, group_key, group, flags, scores, group_started, now
@@ -704,28 +833,34 @@ class StreamScheduler:
         draining, and the ``detector_batch`` span are identical either way.
         """
         obs = self.obs
+        incremental = group["incremental"]
+        flags = np.asarray(flags).tolist()
+        if scores is not None:
+            scores = np.asarray(scores, dtype=np.float64).tolist()
+        # (name, flagged, degraded) -> verdicts, for one counter update each.
+        tally: Dict[tuple, int] = {}
         for index, (outcome, name, adapter, detector_tick, _) in enumerate(group["targets"]):
-            score = (
-                float(scores[index])
-                if scores is not None and adapter.include_scores
-                else None
+            flagged = bool(flags[index])
+            degraded = incremental and adapter.watchdog_tripped()
+            outcome.verdicts[name] = StreamVerdict(
+                detector_tick,
+                False,
+                flagged,
+                scores[index] if scores is not None and adapter.include_scores else None,
+                degraded,
             )
-            verdict = StreamVerdict(
-                tick=detector_tick,
-                warming=False,
-                flagged=bool(flags[index]),
-                score=score,
-                degraded=adapter.watchdog_tripped(),
-            )
-            outcome.verdicts[name] = verdict
             if obs is not None:
-                obs.registry.inc(
-                    "serving.detector_verdicts_total",
-                    detector=name,
-                    flagged="yes" if verdict.flagged else "no",
-                )
-                if verdict.degraded:
-                    obs.registry.inc("serving.watchdog_degraded_total", detector=name)
+                key = (name, flagged, degraded)
+                tally[key] = tally.get(key, 0) + 1
+        for (name, flagged, degraded), count in tally.items():
+            obs.registry.inc(
+                "serving.detector_verdicts_total",
+                count,
+                detector=name,
+                flagged="yes" if flagged else "no",
+            )
+            if degraded:
+                obs.registry.inc("serving.watchdog_degraded_total", count, detector=name)
         if obs is not None:
             if group["incremental"]:
                 for _, name, adapter, _, _ in group["targets"]:

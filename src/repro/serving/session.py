@@ -164,6 +164,11 @@ class PatientSession:
         """The last ``history`` delivered samples in time order, or None."""
         return self._ring.window()
 
+    @property
+    def window_full(self) -> bool:
+        """True once :meth:`window` has ``history`` samples to return."""
+        return self._ring.full
+
     def context_window(self, incoming: np.ndarray) -> Optional[np.ndarray]:
         """The window the model *would* see if ``incoming`` were delivered now.
 

@@ -121,15 +121,20 @@ class SampleRing:
         self._count = min(self._count + 1, self.capacity)
 
     def _ordered(self, length: int) -> np.ndarray:
+        """The last ``length`` samples in time order, as a fresh array."""
         start = self._cursor + self.capacity - length
         order = (start + np.arange(length)) % self.capacity
         return self._buffer[order]
 
     def window(self) -> Optional[np.ndarray]:
-        """The full ``(capacity, features)`` history in time order, or None."""
+        """The full ``(capacity, features)`` history in time order, or None.
+
+        The window is a new array (a fancy-index gather), never a view of
+        the ring.
+        """
         if not self.full:
             return None
-        return self._ordered(self.capacity).copy()
+        return self._ordered(self.capacity)
 
     def tail_with(self, incoming: np.ndarray) -> Optional[np.ndarray]:
         """The window formed by the last ``capacity - 1`` samples plus ``incoming``.

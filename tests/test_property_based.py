@@ -9,6 +9,7 @@ from repro.attacks import (
     MaxModifiedSamplesConstraint,
     default_transformers,
 )
+from repro.data.cohort import CGM_COLUMN
 from repro.detectors.knn import minkowski_distances
 from repro.eval.metrics import confusion_matrix
 from repro.glucose.states import (
@@ -20,6 +21,7 @@ from repro.glucose.states import (
 )
 from repro.nn import Tensor
 from repro.risk import RiskQuantifier, SeverityMatrix, pairwise_euclidean, HierarchicalClustering
+from repro.serving import IngressConfig, IngressPolicy
 from repro.utils.timeseries import MinMaxScaler, StandardScaler, resample_series, sliding_windows
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -283,3 +285,44 @@ class TestConfusionMatrixProperties:
             assert matrix.recall == 1.0
             assert matrix.precision == 1.0
         assert matrix.false_positive_rate == 0.0
+
+
+_RANGE = IngressConfig().glucose_range
+#: Sample entries: anything a float can be, plus the valid band's edges and
+#: their neighbours, where a mask and a scalar check could disagree.
+ingress_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [
+            _RANGE[0],
+            _RANGE[1],
+            float(np.nextafter(_RANGE[0], -np.inf)),
+            float(np.nextafter(_RANGE[1], np.inf)),
+            110.0,
+        ]
+    ),
+)
+
+
+class TestIngressMaskProperties:
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3)), elements=ingress_values),
+        st.one_of(st.none(), hnp.arrays(np.float64, 3, elements=finite_floats)),
+        st.sampled_from(list(IngressPolicy)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mask_plus_rejected_row_validate_equals_per_row_validate(self, block, last_good, policy):
+        """The scheduler's admission (one mask per block, ``validate`` only on
+        the rows it rejects) delivers exactly what per-row ``validate`` does:
+        the mask matches the scalar validity rule, and ``validate`` passes a
+        row through untouched exactly when the mask accepts it."""
+        config = IngressConfig(policy=policy)
+        mask = config.passes(block)
+        low, high = config.glucose_range
+        for row, passed in zip(block, mask):
+            scalar_valid = all(np.isfinite(value) for value in row) and low <= row[CGM_COLUMN] <= high
+            assert bool(passed) == scalar_valid
+            delivered, tag = config.validate(row, last_good)
+            assert (tag is None) == bool(passed)
+            if passed:
+                assert delivered is row

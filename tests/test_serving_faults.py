@@ -179,6 +179,26 @@ class TestFaultPlans:
         assert kinds == (FaultKind.MALFORMED,)
         assert held == 99.0  # a non-finite transmission never becomes the hold value
 
+    @pytest.mark.parametrize("label", ["dev-a", "dev-b", "dev-c"])
+    def test_materialize_equals_applying_every_position_in_order(self, label):
+        """The materialized trace is what a live device transmits, position
+        by position, carrying its stuck-at hold value along."""
+        plan = FaultInjector(ACTIVE_FAULTS).plan_for(label, 120)
+        features = np.random.default_rng(3).uniform(60.0, 300.0, size=(120, 3))
+        faulted, kinds = plan.materialize(features)
+        held = None
+        for position in range(120):
+            expected, active, held = plan.apply(position, features[position], held)
+            np.testing.assert_array_equal(faulted[position], expected)
+            assert kinds[position] == tuple(kind.value for kind in active)
+        assert any(kinds) and not all(kinds)
+
+    def test_materialize_without_events_is_identity(self):
+        plan = FaultInjector(SensorFaultConfig()).plan_for("dev", 8)
+        features = np.ones((8, 3))
+        faulted, kinds = plan.materialize(features)
+        assert faulted is features and kinds == [()] * 8
+
     def test_dropout_delay_accounting(self):
         config = SensorFaultConfig(dropout_rate=0.2, dropout_duration=(2, 2), seed=4)
         plan = FaultInjector(config).plan_for("dev", 100)
@@ -424,6 +444,64 @@ class TestSchedulerErrorNaming:
         assert excinfo.value.stage == "detector query"
         assert session.session_id in str(excinfo.value)
         scheduler.close_session(session.session_id)
+
+
+class TestTickRaisesBeforeMutating:
+    """A tick that raises must leave every session exactly as it was."""
+
+    HEALTH = HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=4)
+
+    @staticmethod
+    def _state(session):
+        health = session.health
+        return (
+            session.ticks,
+            health.state,
+            health.backoff_remaining,
+            health.consecutive_errors,
+            len(health.timeline),
+            None if session.window() is None else session.window().tobytes(),
+        )
+
+    def test_bad_shape_after_a_rejected_sample_mutates_nothing(self, serve_zoo, tiny_cohort):
+        record = next(iter(tiny_cohort))
+        predictor = serve_zoo.model_for(record.label)
+        scheduler = StreamScheduler(
+            health=self.HEALTH, ingress=IngressConfig(policy=IngressPolicy.REJECT)
+        )
+        c = scheduler.open_session("c", predictor, session_id="c")
+        d = scheduler.open_session("d", predictor, session_id="d")
+        before = (self._state(c), self._state(d))
+        with pytest.raises(ValueError, match="'d' must have shape"):
+            scheduler.tick(
+                {"c": np.full(predictor.n_features, np.nan), "d": np.zeros(2)}
+            )
+        assert (self._state(c), self._state(d)) == before
+        assert c.health.state is HealthState.HEALTHY
+
+    def test_quarantine_backoff_survives_a_raising_tick(self, serve_zoo, tiny_cohort):
+        record = next(iter(tiny_cohort))
+        predictor = serve_zoo.model_for(record.label)
+        trace = record.features("test")
+        scheduler = StreamScheduler(
+            health=self.HEALTH, ingress=IngressConfig(policy=IngressPolicy.REJECT)
+        )
+        q = scheduler.open_session("q", predictor, session_id="q")
+        scheduler.open_session("ok", predictor, session_id="ok")
+        garbage = np.full(predictor.n_features, np.nan)
+        for tick in range(2):
+            scheduler.tick({"q": garbage, "ok": trace[tick]})
+        assert q.health.state is HealthState.QUARANTINED
+        before = self._state(q)
+        with pytest.raises(ValueError):
+            scheduler.tick({"q": trace[2], "ok": trace[2][:2]})
+        with pytest.raises(KeyError):
+            scheduler.tick({"q": trace[2], "missing": trace[2]})
+        assert self._state(q) == before
+        # The next well-formed tick counts the untouched backoff down.
+        outcome = scheduler.tick({"q": trace[2], "ok": trace[2]})["q"]
+        assert outcome.dropped and outcome.ingress == "quarantined"
+        assert q.health.backoff_remaining == before[2] - 1
 
 
 # ---------------------------------------------------------- isolation parity

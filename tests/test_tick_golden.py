@@ -40,9 +40,9 @@ from repro.serving import (
 )
 
 GOLDEN = {
-    "clamp": "e052e4cc03e5f94498ffcbd309d5dd477b1855c7afcc9b75e8834549313556fd",
-    "hold_last": "26bd02521550ab54ec0762e5a6dee12c2f8eec279f4cb9e7e414137b77a1a480",
-    "reject": "f5fe3772903a086f6575980f688d40a3f83a0d2b6e43c276c279448a01d99ec3",
+    "clamp": "4802cf25687ec789f15caf1f871b78cf8758720ef31e178971a615d61c1c61c7",
+    "hold_last": "f210c02e57f992f8b8d8b96e28a2c37b66e8d370c5b4c7052d8ce1288a772efc",
+    "reject": "0c7d6806a07cabddf0e04b597361201e6ea8907bc3bfb408e09c58dc6c469a52",
 }
 
 FAULTS = SensorFaultConfig(
@@ -76,9 +76,14 @@ class _Relabelled(PatientRecord):
 
 @pytest.fixture(scope="module")
 def fleet(tiny_cohort):
-    """The tiny cohort plus four relabelled sessions on the aggregate lane."""
-    records = {record.label: record for record in tiny_cohort}
+    """The tiny cohort plus four relabelled sessions on the aggregate lane.
+
+    Lanes interleave in delivery order, so a refused first delivery of one
+    lane moves that lane behind the next one.
+    """
+    records = {}
     for index, record in enumerate(tiny_cohort):
+        records[record.label] = record
         label = f"{record.label}~agg"
         records[label] = _Relabelled(
             profile=record.profile,

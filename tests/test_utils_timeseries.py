@@ -200,6 +200,7 @@ class TestSampleRing:
         ring.push(np.array([1.0]))
         ring.push(np.array([2.0]))
         window = ring.window()
+        assert not np.shares_memory(window, ring._buffer)
         window[:] = -1.0
         np.testing.assert_array_equal(ring.window(), np.array([[1.0], [2.0]]))
 
