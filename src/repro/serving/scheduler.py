@@ -862,7 +862,7 @@ class StreamScheduler:
             if degraded:
                 obs.registry.inc("serving.watchdog_degraded_total", count, detector=name)
         if obs is not None:
-            if group["incremental"]:
+            if incremental:
                 for _, name, adapter, _, _ in group["targets"]:
                     self._observe_inversion(name, adapter)
             obs.emit_span(
